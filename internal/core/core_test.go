@@ -423,26 +423,48 @@ func TestDOTOutput(t *testing.T) {
 // randProgram drives an execution from quick-check-generated bytes,
 // producing a structurally valid but arbitrarily interleaved program.
 func randProgram(e *Execution, script []byte, procs, locs int) {
-	var ls []Loc
 	for i := 0; i < locs; i++ {
-		ls = append(ls, e.AddLoc(string(rune('A'+i))))
+		e.AddLoc(string(rune('A' + i)))
 	}
+	for _, o := range randOps(script, procs, locs, false) {
+		o.issue(e)
+	}
+}
+
+// randOp is one operation of a generated program.
+type randOp struct {
+	k   Kind
+	p   ProcID
+	v   Loc // NoLoc for a plain fence
+	val Value
+}
+
+func (o randOp) issue(e *Execution) { e.Exec(o.k, o.p, o.v, o.val, "") }
+
+// randOps decodes quick-check bytes into the operation stream of
+// randProgram over locations 0..locs-1 (AddLoc order). With scoped set, a
+// fence whose value byte is odd is scoped to its decoded location.
+func randOps(script []byte, procs, locs int, scoped bool) []randOp {
+	var ops []randOp
 	for i := 0; i+2 < len(script); i += 3 {
-		p := ProcID(script[i] % byte(procs))
-		v := ls[int(script[i+1])%locs]
-		switch script[i+2] % 5 {
-		case 0:
-			e.Read(p, v, Value(script[i+2]))
-		case 1:
-			e.Write(p, v, Value(script[i+2]))
-		case 2:
-			e.Acquire(p, v)
-		case 3:
-			e.Release(p, v)
-		case 4:
-			e.Fence(p)
+		o := randOp{
+			k:   []Kind{KRead, KWrite, KAcquire, KRelease, KFence}[script[i+2]%5],
+			p:   ProcID(script[i] % byte(procs)),
+			v:   Loc(int(script[i+1]) % locs),
+			val: Value(script[i+2]),
 		}
+		switch o.k {
+		case KAcquire, KRelease:
+			o.val = 0
+		case KFence:
+			o.val = 0
+			if !scoped || script[i+2]&1 == 0 {
+				o.v = NoLoc
+			}
+		}
+		ops = append(ops, o)
 	}
+	return ops
 }
 
 // Property: any operation stream yields an acyclic graph whose local edges

@@ -5,12 +5,16 @@ import "fmt"
 // Execution is the model of a program's state at one moment in time
 // (Definition 1): E = (P, V, O, ≺). P and V grow implicitly as operations
 // and locations appear; O and ≺ grow by Exec, which applies the Table I
-// transition rules (Definition 4). Orderings are never removed.
+// transition rules (Definition 4). Orderings are never removed, except by
+// Undo, which takes back the newest operation as a whole.
 type Execution struct {
 	locNames []string
 	ops      []*Op
 	out      [][]Edge
 	in       [][]Edge
+	// floor is the op count below which Undo refuses to go: the count at
+	// which the execution was created or last cloned (see Clone).
+	floor int
 
 	// Pattern indexes, used to apply Table I incrementally. Keys follow
 	// the paper's patterns: per (proc, loc), per loc, or per proc.
@@ -52,18 +56,27 @@ func NewExecution() *Execution {
 }
 
 // Clone returns a copy of the execution that can grow independently — the
-// litmus explorer branches the state space on it. Op values are shared
-// (they are immutable once issued), and so are the backing arrays of the
-// index lists and edge lists: the copy's slice headers are capacity-
-// clipped, so an append through the clone always reallocates instead of
-// writing into shared backing, and an in-place append by the original
-// lands beyond every clipped header's capacity. List contents below the
-// clip point are never mutated by either side, which makes sharing safe
-// across goroutines too. This is what keeps state branching cheap: a
-// clone costs one header copy per structure instead of a deep copy of
+// litmus explorer materializes the roots of its parallel subtrees with it.
+// Op values are shared (they are immutable once issued), and so are the
+// backing arrays of the index lists and edge lists: the copy's slice
+// headers are capacity-clipped, so an append through the clone always
+// reallocates instead of writing into shared backing, and an in-place
+// append by the original lands beyond every clipped header's capacity.
+// A clone costs one header copy per structure instead of a deep copy of
 // every index list.
+//
+// The sharing stays sound only while neither side rewrites the shared
+// prefix, which Undo could do by truncating a list and appending into it
+// again. So Clone sets the undo floor of both executions to the current
+// op count: Undo panics on any operation issued before the clone. Above
+// the floor each side owns what it appended, and Exec/Undo pairs on
+// either side never touch the other. Clone writes the receiver's floor,
+// so concurrent Clones of one execution must be serialized; the clones
+// themselves may then grow on separate goroutines.
 func (e *Execution) Clone() *Execution {
+	e.floor = len(e.ops)
 	c := &Execution{
+		floor:      len(e.ops),
 		locNames:   clip(e.locNames),
 		ops:        clip(e.ops),
 		out:        make([][]Edge, len(e.out)),
@@ -184,21 +197,22 @@ func (e *Execution) addEdge(from, to int, ord Ord) {
 	e.in[to] = append(e.in[to], ed)
 }
 
-// earlierMatching returns the IDs of issued operations matching the rule's
-// Earlier pattern for a new operation by proc p on loc v (NoLoc for
-// global fences). The initial operation of a location matches the write and
-// release patterns for any process (Definition 3).
+// eachEarlier calls f, in issue order within each index list, with the
+// IDs of issued operations matching the rule's Earlier pattern for a new
+// operation by proc p on loc v (NoLoc for global fences). The initial
+// operation of a location matches the write and release patterns for any
+// process (Definition 3). It allocates nothing: Exec runs it once per rule.
 //
 // Location-scoped fences (the optimization Section IV-D mentions: "one
 // could offer more complex fences on specific locations") carry a location
 // and match only operations on it; a plain fence (NoLoc) spans all
 // locations. A location fence in the history likewise only constrains
 // operations on its own location.
-func (e *Execution) earlierMatching(r Rule, p ProcID, v Loc) []int {
+func (e *Execution) eachEarlier(r Rule, p ProcID, v Loc, f func(int)) {
 	// The fence column/row widens matching to all locations only for
 	// location-less fences.
 	globalFence := (r.Earlier == KFence || r.New == KFence) && v == NoLoc
-	var ids []int
+	var ids, more []int
 	switch r.Earlier {
 	case KRead:
 		if globalFence {
@@ -212,8 +226,8 @@ func (e *Execution) earlierMatching(r Rule, p ProcID, v Loc) []int {
 		} else {
 			ids = e.writesPL[procLoc{p, v}]
 			if init, ok := e.initOf[v]; ok && r.New != KFence {
-				// Prepend the init write (matches any proc).
-				ids = append([]int{init}, ids...)
+				// The init write comes first (it matches any proc).
+				f(init)
 			}
 		}
 	case KAcquire:
@@ -237,10 +251,15 @@ func (e *Execution) earlierMatching(r Rule, p ProcID, v Loc) []int {
 		} else {
 			// Both plain fences and same-location fences order
 			// the new operation on v.
-			ids = append(append([]int(nil), e.fencesP[p]...), e.fencesPL[procLoc{p, v}]...)
+			ids, more = e.fencesP[p], e.fencesPL[procLoc{p, v}]
 		}
 	}
-	return ids
+	for _, id := range ids {
+		f(id)
+	}
+	for _, id := range more {
+		f(id)
+	}
 }
 
 // Exec issues a new operation and applies the Table I rules, returning it
@@ -261,11 +280,11 @@ func (e *Execution) Exec(k Kind, p ProcID, v Loc, val Value, label string) *Op {
 	}
 	op := &Op{ID: len(e.ops), Kind: k, Proc: p, Loc: v, Val: val, Label: label}
 	e.ops = append(e.ops, op)
-	e.out = append(e.out, nil)
-	e.in = append(e.in, nil)
+	e.out = growSlot(e.out)
+	e.in = growSlot(e.in)
 
 	for _, r := range RulesFor(k) {
-		for _, from := range e.earlierMatching(r, p, v) {
+		e.eachEarlier(r, p, v, func(from int) {
 			ord := r.Ord
 			// Edges out of the initial operation are globally
 			// visible: every process agrees on the initial state.
@@ -273,7 +292,7 @@ func (e *Execution) Exec(k Kind, p ProcID, v Loc, val Value, label string) *Op {
 				ord = OrdProgram
 			}
 			e.addEdge(from, op.ID, ord)
-		}
+		})
 	}
 
 	// Update the pattern indexes.
@@ -300,6 +319,70 @@ func (e *Execution) Exec(k Kind, p ProcID, v Loc, val Value, label string) *Op {
 	}
 	return op
 }
+
+// growSlot appends an empty edge list for a new op. A slot left behind by
+// Undo is reused with its capacity, so a do/undo walk stops reallocating
+// edge lists once warm. Slots beyond len were appended by this execution
+// above its floor, so no clone shares them.
+func growSlot(s [][]Edge) [][]Edge {
+	if n := len(s); n < cap(s) {
+		s = s[:n+1]
+		s[n] = s[n][:0]
+		return s
+	}
+	return append(s, nil)
+}
+
+// Undo takes back the newest operation: the inverse of the Exec that
+// issued it. Table I only adds edges into the newest op, so its in-edges
+// are exactly the trailing out-edges of its predecessors, and its ID is
+// the trailing entry of every index list it joined; undoing it is three
+// truncations. Capacity is kept, so the next Exec reuses it. Undo panics
+// on an initial operation and on any operation below the floor set by
+// Clone.
+func (e *Execution) Undo() {
+	n := len(e.ops) - 1
+	if n < 0 || e.ops[n].IsInit {
+		panic("core: Undo of an initial operation")
+	}
+	if n < e.floor {
+		panic(fmt.Sprintf("core: Undo of op %d below the clone floor %d", n, e.floor))
+	}
+	op := e.ops[n]
+	for _, ed := range e.in[n] {
+		e.out[ed.From] = e.out[ed.From][:len(e.out[ed.From])-1]
+	}
+	e.in[n] = e.in[n][:0]
+	e.ops[n] = nil
+	e.ops, e.out, e.in = e.ops[:n], e.out[:n], e.in[:n]
+
+	p, v := op.Proc, op.Loc
+	pl := procLoc{p, v}
+	switch op.Kind {
+	case KRead:
+		e.readsPL[pl] = pop(e.readsPL[pl])
+		e.readsP[p] = pop(e.readsP[p])
+	case KWrite:
+		e.writesPL[pl] = pop(e.writesPL[pl])
+		e.writesP[p] = pop(e.writesP[p])
+	case KAcquire:
+		e.acquiresPL[pl] = pop(e.acquiresPL[pl])
+		e.acquiresP[p] = pop(e.acquiresP[p])
+	case KRelease:
+		e.releasesL[v] = pop(e.releasesL[v])
+		e.releasesP[p] = pop(e.releasesP[p])
+		e.releasesPL[pl] = pop(e.releasesPL[pl])
+	case KFence:
+		if v == NoLoc {
+			e.fencesP[p] = pop(e.fencesP[p])
+		} else {
+			e.fencesPL[pl] = pop(e.fencesPL[pl])
+		}
+	}
+}
+
+// pop drops the last element of an index list.
+func pop(s []int) []int { return s[:len(s)-1] }
 
 // Convenience issue helpers.
 

@@ -129,12 +129,12 @@ func (e *Execution) LastWritesAt(p ProcID, v Loc) []int {
 	seen := make([]bool, len(e.ops))
 	var queue []int
 	for _, r := range RulesFor(KRead) {
-		for _, from := range e.earlierMatching(r, p, v) {
+		e.eachEarlier(r, p, v, func(from int) {
 			if !seen[from] {
 				seen[from] = true
 				queue = append(queue, from)
 			}
-		}
+		})
 	}
 	var visibleWrites []int
 	for len(queue) > 0 {

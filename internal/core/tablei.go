@@ -59,15 +59,22 @@ var TableI = []Rule{
 	{Earlier: KFence, New: KAcquire, Ord: OrdFence},
 }
 
-// RulesFor returns the Table I rules triggered by a new operation of kind k.
-func RulesFor(k Kind) []Rule {
-	var out []Rule
+// rulesByKind holds TableI split by the New kind, in table order, so that
+// Exec looks its rules up without allocating.
+var rulesByKind = func() (by [KFence + 1][]Rule) {
 	for _, r := range TableI {
-		if r.New == k {
-			out = append(out, r)
-		}
+		by[r.New] = append(by[r.New], r)
 	}
-	return out
+	return by
+}()
+
+// RulesFor returns the Table I rules triggered by a new operation of kind k.
+// The slice is shared; treat it as read-only.
+func RulesFor(k Kind) []Rule {
+	if int(k) >= len(rulesByKind) {
+		return nil
+	}
+	return rulesByKind[k]
 }
 
 // RenderTableI prints the rule table in the paper's row/column layout.

@@ -5,8 +5,13 @@ import (
 	"sync/atomic"
 )
 
-// This file is the exploration engine behind Explorer.Run. Three modes
-// share one recursive core:
+// This file is the exploration engine behind Explorer.Run. Every mode
+// walks one live state in place: it applies a move (do), recurses, then
+// takes the move back (undo), so a step costs one model operation issued
+// and retracted instead of a copy of the execution. A state is copied
+// (state.clone) only to materialize the roots of parallel subtrees, and
+// each worker then walks its own root in place. Three modes share the
+// recursive core:
 //
 //   - sequential tree enumeration (Workers=1, Memoize=false): the
 //     reference semantics — every interleaving/read-choice path is walked
@@ -183,49 +188,41 @@ func (g *engine) claimState() bool {
 }
 
 // expandState classifies one claimed state: a completed execution (done,
-// with its canonical outcome), or its successor states (empty = stuck).
-// Both the recursive walk and the frontier expansion go through here so
+// with its canonical outcome), or its enabled moves (empty = stuck). Both
+// the recursive walk and the frontier expansion go through here so
 // terminal-state and stepping semantics live in one place.
-func (g *engine) expandState(s *state) (outcome string, done bool, succs []*state, err error) {
-	allDone := true
-	for t := range g.x.prog.Threads {
-		if s.pcs[t] < len(g.x.prog.Threads[t]) {
-			allDone = false
-			break
+func (g *engine) expandState(s *state) (outcome string, done bool, ms []move, err error) {
+	for t, th := range g.x.prog.Threads {
+		if s.pcs[t] < len(th) {
+			ms, err = g.x.moves(s)
+			return "", false, ms, err
 		}
 	}
-	if allDone {
-		return g.x.canonical(s.regs), true, nil, nil
-	}
-	for t := range g.x.prog.Threads {
-		ns, err := g.x.step(s, t)
-		if err != nil {
-			return "", false, nil, err
-		}
-		succs = append(succs, ns...)
-	}
-	return "", false, succs, nil
+	return g.x.canonical(s.regs), true, nil, nil
 }
 
-// compute walks one state: claims a slot of the state budget, emits the
-// outcome for complete states, recurses into successors otherwise.
+// compute walks one state in place: claims a slot of the state budget,
+// emits the outcome for complete states, and otherwise does each move,
+// explores the result and undoes the move, leaving s as it found it.
 func (g *engine) compute(s *state) (*subResult, error) {
 	if !g.claimState() {
 		return emptySub, nil
 	}
-	outcome, done, succs, err := g.expandState(s)
+	outcome, done, ms, err := g.expandState(s)
 	if err != nil {
 		return nil, err
 	}
 	if done {
 		return &subResult{outcomes: map[string]int{outcome: 1}}, nil
 	}
-	if len(succs) == 0 {
+	if len(ms) == 0 {
 		return &subResult{stuck: 1}, nil
 	}
 	res := newSubResult()
-	for _, n := range succs {
-		sub, err := g.explore(n)
+	for _, m := range ms {
+		u := g.x.do(s, m)
+		sub, err := g.explore(s)
+		g.x.undo(s, u)
 		if err != nil {
 			return nil, err
 		}
@@ -269,9 +266,11 @@ type frontierEntry struct {
 // runParallel expands the root breadth-first until the frontier offers
 // enough independent work for the pool, folding completed and stuck
 // prefixes into the result as it goes, then fans the frontier out to
-// workers goroutines. With memoization the frontier is deduplicated by
-// fingerprint, carrying path multiplicities, which keeps the distinct-
-// state count identical to a sequential memoized run.
+// workers goroutines. Expansion materializes every successor (clone, then
+// do), since the frontier holds them all at once; each worker then walks
+// its own frontier states in place. With memoization the frontier is
+// deduplicated by fingerprint, carrying path multiplicities, which keeps
+// the distinct-state count identical to a sequential memoized run.
 func (g *engine) runParallel(root *state, workers int) (*subResult, error) {
 	res := newSubResult()
 	frontier := []frontierEntry{{s: root, mult: 1}}
@@ -286,7 +285,7 @@ func (g *engine) runParallel(root *state, workers int) (*subResult, error) {
 			if !g.claimFrontier(en.s) {
 				return res, nil
 			}
-			outcome, done, succs, err := g.expandState(en.s)
+			outcome, done, ms, err := g.expandState(en.s)
 			if err != nil {
 				return nil, err
 			}
@@ -294,11 +293,13 @@ func (g *engine) runParallel(root *state, workers int) (*subResult, error) {
 				res.outcomes[outcome] += en.mult
 				continue
 			}
-			if len(succs) == 0 {
+			if len(ms) == 0 {
 				res.stuck += en.mult
 				continue
 			}
-			for _, n := range succs {
+			for _, m := range ms {
+				n := en.s.clone()
+				g.x.do(n, m)
 				if g.memoize {
 					fp := g.x.fingerprint(n)
 					if i, ok := nextIdx[fp]; ok {

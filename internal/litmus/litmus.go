@@ -305,9 +305,11 @@ func (r *Result) String() string {
 	return b.String()
 }
 
-// state is one node of the exploration tree. Its layout is flat — one
-// backing array per field, no nested slices or maps — because clone runs
-// once per exploration step and is the engine's hottest allocation site.
+// state is one node of the exploration tree. The engine walks one live
+// state per goroutine, applying a move, recursing and undoing the move
+// (do/undo); clone materializes a state only for the roots of parallel
+// subtrees. The layout is flat — one backing array per field, no nested
+// slices or maps — so that clone is a handful of copies.
 type state struct {
 	exec *core.Execution
 	pcs  []int
@@ -528,81 +530,128 @@ func (x *Explorer) readCandidates(s *state, t int, loc core.Loc) []int {
 	return out
 }
 
-// step returns the successor states of s for thread t, or nil if t is
-// blocked (or finished). Malformed programs (a release by a non-holder)
-// surface as an error; validate catches them statically before exploration,
-// so this path is defense in depth.
-func (x *Explorer) step(s *state, t int) ([]*state, error) {
-	th := x.prog.Threads[t]
-	if s.pcs[t] >= len(th) {
-		return nil, nil
+// move is one enabled transition: thread t executes the instruction at
+// its pc, reading from the write with op ID from when it is a read or an
+// await (from is -1 otherwise).
+type move struct {
+	t, from int
+}
+
+// moves lists the enabled transitions of s: threads in index order, and a
+// read's candidate writes in ascending ID order. An empty list with
+// unfinished threads means s is stuck. Malformed programs (a release by a
+// non-holder) surface as an error; validate catches them statically
+// before exploration, so this path is defense in depth.
+func (x *Explorer) moves(s *state) ([]move, error) {
+	var ms []move
+	for t, th := range x.prog.Threads {
+		if s.pcs[t] >= len(th) {
+			continue
+		}
+		in := th[s.pcs[t]]
+		switch in.Kind {
+		case IWrite, IFence, IFlush:
+		case IAcquire:
+			if s.lockHolder[x.locIdx[in.Loc]] != -1 {
+				continue // blocked
+			}
+		case IRelease:
+			if s.lockHolder[x.locIdx[in.Loc]] != t {
+				return nil, fmt.Errorf("litmus %s: thread %d releases %s without holding it",
+					x.prog.Name, t, in.Loc)
+			}
+		case IRead, IAwaitEq:
+			for _, b := range x.readCandidates(s, t, x.locIdx[in.Loc]) {
+				if in.Kind == IAwaitEq && readValue(s, b) != in.Val {
+					continue // blocked until the awaited value is readable
+				}
+				ms = append(ms, move{t: t, from: b})
+			}
+			continue
+		default:
+			return nil, fmt.Errorf("litmus %s: unknown instruction kind %d", x.prog.Name, in.Kind)
+		}
+		ms = append(ms, move{t: t, from: -1})
 	}
-	in := th[s.pcs[t]]
+	return ms, nil
+}
+
+// readValue is the value a read returns from write b: ⊥ reads as zero.
+func readValue(s *state, b int) core.Value {
+	if op := s.exec.Op(b); !op.IsInit {
+		return op.Val
+	}
+	return 0
+}
+
+// undoRec is what do overwrote and undo restores: the moving thread, and
+// for reads the previous last-read view and register. The rest of the
+// inverse follows from the instruction itself: pcs step back, an acquire
+// frees its lock, a release returns it to the thread, and the issued
+// model operation is the execution's newest.
+type undoRec struct {
+	t        int
+	lastRead int
+	reg      regVal
+}
+
+// do applies move m to s in place and returns the record that undoes it.
+func (x *Explorer) do(s *state, m move) undoRec {
+	t := m.t
+	in := x.prog.Threads[t][s.pcs[t]]
+	u := undoRec{t: t}
 	p := core.ProcID(t)
+	loc := x.locIdx[in.Loc]
 	switch in.Kind {
 	case IWrite:
-		n := s.clone()
-		n.exec.Write(p, x.locIdx[in.Loc], in.Val)
-		n.pcs[t]++
-		return []*state{n}, nil
+		s.exec.Write(p, loc, in.Val)
 	case IFence:
-		n := s.clone()
 		if in.Loc != "" {
-			n.exec.FenceLoc(p, x.locIdx[in.Loc])
+			s.exec.FenceLoc(p, loc)
 		} else {
-			n.exec.Fence(p)
+			s.exec.Fence(p)
 		}
-		n.pcs[t]++
-		return []*state{n}, nil
-	case IFlush:
-		n := s.clone()
-		n.pcs[t]++
-		return []*state{n}, nil
 	case IAcquire:
-		loc := x.locIdx[in.Loc]
-		if s.lockHolder[loc] != -1 {
-			return nil, nil // blocked
-		}
-		n := s.clone()
-		n.exec.Acquire(p, loc)
-		n.lockHolder[loc] = t
-		n.pcs[t]++
-		return []*state{n}, nil
+		s.exec.Acquire(p, loc)
+		s.lockHolder[loc] = t
 	case IRelease:
-		loc := x.locIdx[in.Loc]
-		if s.lockHolder[loc] != t {
-			return nil, fmt.Errorf("litmus %s: thread %d releases %s without holding it",
-				x.prog.Name, t, in.Loc)
-		}
-		n := s.clone()
-		n.exec.Release(p, loc)
-		n.lockHolder[loc] = -1
-		n.pcs[t]++
-		return []*state{n}, nil
+		s.exec.Release(p, loc)
+		s.lockHolder[loc] = -1
 	case IRead, IAwaitEq:
-		loc := x.locIdx[in.Loc]
-		cands := x.readCandidates(s, t, loc)
-		var succs []*state
-		for _, b := range cands {
-			val := s.exec.Op(b).Val
-			if s.exec.Op(b).IsInit {
-				val = 0
-			}
-			if in.Kind == IAwaitEq && val != in.Val {
-				continue
-			}
-			n := s.clone()
-			n.exec.Read(p, loc, val)
-			n.lastRead[t*len(x.prog.Locs)+int(loc)] = b
-			if in.Reg != "" {
-				n.regs[x.regIdx[in.Reg]] = regVal{Val: val, Set: true}
-			}
-			n.pcs[t]++
-			succs = append(succs, n)
+		val := readValue(s, m.from)
+		s.exec.Read(p, loc, val)
+		lr := &s.lastRead[t*len(x.prog.Locs)+int(loc)]
+		u.lastRead, *lr = *lr, m.from
+		if in.Reg != "" {
+			r := &s.regs[x.regIdx[in.Reg]]
+			u.reg, *r = *r, regVal{Val: val, Set: true}
 		}
-		return succs, nil // empty = blocked (await not yet satisfiable)
 	}
-	return nil, fmt.Errorf("litmus %s: unknown instruction kind %d", x.prog.Name, in.Kind)
+	s.pcs[t]++
+	return u
+}
+
+// undo reverts the move recorded by u, which must be the last move done
+// on s that has not been undone.
+func (x *Explorer) undo(s *state, u undoRec) {
+	t := u.t
+	s.pcs[t]--
+	in := x.prog.Threads[t][s.pcs[t]]
+	loc := x.locIdx[in.Loc]
+	switch in.Kind {
+	case IFlush:
+		return // issued no model operation
+	case IAcquire:
+		s.lockHolder[loc] = -1
+	case IRelease:
+		s.lockHolder[loc] = t
+	case IRead, IAwaitEq:
+		s.lastRead[t*len(x.prog.Locs)+int(loc)] = u.lastRead
+		if in.Reg != "" {
+			s.regs[x.regIdx[in.Reg]] = u.reg
+		}
+	}
+	s.exec.Undo()
 }
 
 // canonical renders a register assignment deterministically. regOrder is

@@ -338,6 +338,13 @@ func (c *Cache) Do(key string, compute func() ([]byte, error)) (body []byte, hit
 		}
 		return f.body, true, nil
 	}
+	// A leader may have finished between the Get above and the lock. It
+	// stores its body before leaving the flight table, so look again
+	// before leading a second compute for the same key.
+	if body, ok, err := c.store.Get(key); err != nil || ok {
+		c.mu.Unlock()
+		return body, ok, err
+	}
 	f := &flight{done: make(chan struct{})}
 	c.inflight[key] = f
 	c.mu.Unlock()
