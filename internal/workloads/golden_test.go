@@ -1,0 +1,105 @@
+package workloads
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"pmc/internal/noc"
+	"pmc/internal/soc"
+)
+
+// updateGolden rewrites testdata/domain_golden.txt from the current code.
+//
+//	go test ./internal/workloads -run TestDomainBackendsGolden -update
+var updateGolden = flag.Bool("update", false, "rewrite testdata/domain_golden.txt from the current results")
+
+const goldenPath = "testdata/domain_golden.txt"
+
+// goldenBackends are the replicated and staging backends in both memory
+// domains (tile-local and cluster scratch), plus the adaptive router that
+// delegates to them.
+var goldenBackends = []string{"dsm", "cdsm", "spm", "cspm", "adaptive"}
+
+// goldenShapes are the flat paper platform and a clustered one.
+var goldenShapes = []struct {
+	name  string
+	tiles int
+	topo  string
+}{
+	{"flat8", 8, ""},
+	{"c4xring16", 16, "cluster:4xring"},
+}
+
+// goldenLine runs one cell and renders every exact metric it produces.
+func goldenLine(t *testing.T, app string, backend string, tiles int, topo string) string {
+	t.Helper()
+	a, ok := Scaled(app, true)
+	if !ok {
+		t.Fatalf("unknown workload %q", app)
+	}
+	cfg := smallCfg(tiles)
+	if topo != "" {
+		tp, err := noc.ParseTopology(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.NoC.Topology = tp
+	}
+	res, err := Run(a, cfg, backend)
+	if err != nil {
+		t.Fatalf("%s on %s (%d tiles %q): %v", app, backend, tiles, topo, err)
+	}
+	return fmt.Sprintf("cycles=%d checksum=%#08x flithops=%d local=%d global=%d msgs=%d bytes=%d total=%s",
+		res.Cycles, res.Checksum, res.FlitHops, res.LocalFlitHops, res.GlobalFlitHops,
+		res.NoCMessages, res.NoCBytes, statsString(res.Total))
+}
+
+func statsString(s soc.TileStats) string {
+	return fmt.Sprintf("busy:%d istall:%d privrd:%d shrd:%d wr:%d flush:%d lock:%d copy:%d instrs:%d flushinstrs:%d shreads:%d shwrites:%d privreads:%d privwrites:%d",
+		s.Busy, s.IStall, s.PrivReadStall, s.SharedReadStall, s.WriteStall, s.FlushStall, s.LockWait, s.CopyStall,
+		s.Instrs, s.FlushInstrs, s.SharedReads, s.SharedWrites, s.PrivReads, s.PrivWrites)
+}
+
+// TestDomainBackendsGolden pins every exact metric of the replicated and
+// staging backends in both memory domains across every workload, on a flat
+// and a clustered platform: makespan, checksum, NoC traffic and the full
+// summed tile counters. Any change in how a backend places, moves or
+// charges its copies shows up here as a differing line.
+func TestDomainBackendsGolden(t *testing.T) {
+	var got []string
+	for _, app := range Names {
+		for _, b := range goldenBackends {
+			for _, sh := range goldenShapes {
+				key := fmt.Sprintf("%s %s %s", app, b, sh.name)
+				got = append(got, key+" "+goldenLine(t, app, b, sh.tiles, sh.topo))
+			}
+		}
+	}
+	body := strings.Join(got, "\n") + "\n"
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("%s missing (%v); generate it with: go test ./internal/workloads -run TestDomainBackendsGolden -update", goldenPath, err)
+	}
+	want := strings.Split(strings.TrimRight(string(raw), "\n"), "\n")
+	if len(want) != len(got) {
+		t.Fatalf("golden has %d cells, run produced %d", len(want), len(got))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("cell %d differs:\n got  %s\n want %s", i, got[i], want[i])
+		}
+	}
+}
