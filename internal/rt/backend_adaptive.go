@@ -184,7 +184,7 @@ func (b *adaptiveBackend) migrate(c *Ctx, o *Object, st *adaptState, cur, target
 		}
 	}
 	if cur == Backend(b.dsm) {
-		c.T.CopyFromLocal(c.P, b.dsm.replicaAddr(c.T.ID, o), o.Addr, o.WordCount()*4)
+		b.dsm.writeBack(c, o)
 	}
 	exit()
 	if st.open > 0 {
@@ -194,12 +194,8 @@ func (b *adaptiveBackend) migrate(c *Ctx, o *Object, st *adaptState, cur, target
 		return
 	}
 	if target == Backend(b.dsm) {
-		for t := range b.rt.Sys.Locals {
-			for i, v := range snapshot {
-				b.rt.Sys.Locals[t].Write32(b.dsm.replicaAddr(t, o)+mem.Addr(4*i), v)
-			}
-		}
-		b.dsm.lastWriter[o.ID] = c.T.ID
+		b.dsm.initReplicas(b.rt, o, snapshot)
+		b.dsm.recordOwner(o, c.T.ID)
 	}
 	st.proto = target
 	st.migrations++

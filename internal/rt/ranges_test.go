@@ -116,50 +116,6 @@ func TestOneWordBlockEquivalence(t *testing.T) {
 	}
 }
 
-// TestWordBackendAdapter checks the v1 compatibility adapter: a backend
-// that only implements the word-granular surface runs ranged programs via
-// the lowering, with identical data and identical cost to the explicit
-// word loop.
-func TestWordBackendAdapter(t *testing.T) {
-	run := func(t *testing.T, b Backend, block bool) (sim.Time, []uint32) {
-		sys := testSys(t, 2)
-		r := New(sys, b)
-		o := r.Alloc("obj", 8*4)
-		src := []uint32{1, 2, 3, 4, 5, 6, 7, 8}
-		got := make([]uint32, 8)
-		r.Spawn(0, "w", func(c *Ctx) {
-			c.SetCodeFootprint(1024)
-			c.EntryX(o)
-			if block {
-				c.WriteBlock(o, 0, src)
-				c.ReadBlock(o, 0, got)
-			} else {
-				for i, v := range src {
-					c.Write32(o, 4*i, v)
-				}
-				for i := range got {
-					got[i] = c.Read32(o, 4*i)
-				}
-			}
-			c.ExitX(o)
-		})
-		if err := r.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return sys.K.Now(), got
-	}
-	wordCycles, wordData := run(t, AdaptWordBackend(NoCC()), false)
-	blkCycles, blkData := run(t, AdaptWordBackend(NoCC()), true)
-	if wordCycles != blkCycles {
-		t.Fatalf("adapter block path %d cycles, word path %d", blkCycles, wordCycles)
-	}
-	for i := range wordData {
-		if wordData[i] != blkData[i] || blkData[i] != uint32(i+1) {
-			t.Fatalf("data mismatch at %d: word %v block %v", i, wordData, blkData)
-		}
-	}
-}
-
 // TestDisciplineViolationsAllBackends is the table-driven discipline
 // matrix: on every backend, out-of-scope word and block writes,
 // out-of-bounds ranges, and exits without a matching entry must each

@@ -19,9 +19,9 @@ import (
 // (Section V-A). Objects larger than MaxWords are not recorded (the model
 // is O(n²); the recorder is a test tool for small configurations).
 //
-// For the SPM backend, in-scope reads and writes touch the staged local
-// copy, so the recorder maps the staging copy-in to model reads and the
-// copy-back to model writes instead (see recordStage/recordUnstage).
+// For the staging backends (spm, cspm), in-scope reads and writes touch
+// the staged copy, so the recorder maps the staging copy-in to model reads
+// and the copy-back to model writes instead (see recordStage/recordUnstage).
 type Recorder struct {
 	Exec *core.Execution
 	// MaxWords bounds recorded object size.
@@ -75,11 +75,19 @@ func (r *Recorder) initObject(o *Object, words []uint32) {
 
 func (r *Recorder) proc(c *Ctx) core.ProcID { return core.ProcID(c.T.ID) }
 
-// staged reports whether o's effective protocol stages the object into
-// local memory for the scope (the spm backend, possibly reached through a
-// fault wrapper or the adaptive router): in-scope reads and writes touch
-// the staged copy, so the recorder maps the copy-in/copy-back instead.
-func (r *Recorder) staged(o *Object) bool { return r.rt.protoFor(o).Name() == "spm" }
+// staging returns o's effective protocol if it stages the object for the
+// scope (spm or cspm, possibly reached through a fault wrapper or the
+// adaptive router): in-scope reads and writes touch the staged copy, so
+// the recorder maps the copy-in/copy-back instead.
+func (r *Recorder) staging(o *Object) (*spmBackend, bool) {
+	b, ok := r.rt.protoFor(o).(*spmBackend)
+	return b, ok
+}
+
+func (r *Recorder) staged(o *Object) bool {
+	_, ok := r.staging(o)
+	return ok
+}
 
 func (r *Recorder) acquire(c *Ctx, o *Object) {
 	ls, ok := r.locs[o.ID]
@@ -99,8 +107,8 @@ func (r *Recorder) release(c *Ctx, o *Object) {
 	if !ok {
 		return
 	}
-	if r.staged(o) {
-		r.recordUnstage(c, o)
+	if b, ok := r.staging(o); ok {
+		r.recordUnstage(c, o, b)
 	}
 	for _, l := range ls {
 		r.Exec.Release(r.proc(c), l)
@@ -163,7 +171,7 @@ func (r *Recorder) fenceObj(c *Ctx, o *Object) {
 	}
 }
 
-// recordStage models the SPM copy-in: a read of every word with the values
+// recordStage models the staging copy-in: a read of every word with the values
 // the copy captured.
 func (r *Recorder) recordStage(c *Ctx, o *Object) {
 	ls := r.locs[o.ID]
@@ -173,24 +181,21 @@ func (r *Recorder) recordStage(c *Ctx, o *Object) {
 	}
 }
 
-// recordUnstage models the SPM copy-back: a write of every word with the
-// staged copy's current values.
-func (r *Recorder) recordUnstage(c *Ctx, o *Object) {
-	ls := r.locs[o.ID]
-	s, ok := c.scopes[o]
-	if !ok {
+// recordUnstage models the staging copy-back: a write of every word with
+// the staged copy's current values.
+func (r *Recorder) recordUnstage(c *Ctx, o *Object, b *spmBackend) {
+	if _, ok := c.scopes[o]; !ok {
 		return
 	}
-	for i, l := range ls {
-		v := c.rt.Sys.Locals[c.T.ID].Read32(s.spmAddr + mem.Addr(4*i))
-		r.Exec.Write(r.proc(c), l, core.Value(v))
+	for i, l := range r.locs[o.ID] {
+		r.Exec.Write(r.proc(c), l, core.Value(b.stagedWord(c, o, i)))
 	}
 }
 
 func (r *Recorder) read(c *Ctx, o *Object, off int, v uint32) {
 	ls, ok := r.locs[o.ID]
 	if !ok || r.staged(o) {
-		return // SPM in-scope reads hit the staged copy (recorded at entry)
+		return // staged in-scope reads hit the copy (recorded at entry)
 	}
 	r.verifyRead(c, o, off/4, ls[off/4], v)
 }
@@ -212,7 +217,7 @@ func (r *Recorder) verifyRead(c *Ctx, o *Object, word int, l core.Loc, v uint32)
 func (r *Recorder) write(c *Ctx, o *Object, off int, v uint32) {
 	ls, ok := r.locs[o.ID]
 	if !ok || r.staged(o) {
-		return // SPM in-scope writes are recorded at copy-back
+		return // staged in-scope writes are recorded at copy-back
 	}
 	r.Exec.Write(r.proc(c), ls[off/4], core.Value(v))
 }

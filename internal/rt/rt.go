@@ -12,8 +12,20 @@
 //	spm  — scratch-pad staging: objects are copied into the tile's local
 //	       memory for the duration of a scope and copied back on exit.
 //
+// The replicated (dsm) and staging (spm) backends are each written once
+// over a memory domain (soc.Domain); their cluster configurations keep the
+// copies in each cluster's scratch memory instead of each tile's local
+// memory:
+//
+//	cdsm — one replica of the shared heap per cluster;
+//	cspm — scopes stage into the cluster scratch.
+//
+// swcc-lazy is swcc with the exit flush deferred to the next lock handoff,
+// and adaptive routes every object to one of nocc, swcc, dsm and spm by
+// its observed access pattern, migrating at quiescent scope boundaries.
+//
 // A single application written against Ctx's annotation API runs unchanged
-// on all four — the PMC approach's portability claim. The runtime also
+// on all eight — the PMC approach's portability claim. The runtime also
 // enforces the annotation discipline (reads only inside entry/exit scopes,
 // writes only inside exclusive scopes, flush only inside entry_x/exit_x)
 // and can record every operation into the formal model (internal/core) for
@@ -90,12 +102,20 @@ func (o *Object) Backend() string { return o.route.Name() }
 // WriteRange move [off, off+4·len) in one operation, and Read32/Write32
 // are the one-word special case kept as distinct methods so their
 // instruction sequence — and therefore their sim-cycle cost — is pinned
-// exactly to the historical word path. A word-granular backend can be
-// lifted to the full interface with AdaptWordBackend.
+// exactly to the historical word path.
 type Backend interface {
-	// WordBackend is the v1 surface: annotations plus the word-granular
-	// accesses.
-	WordBackend
+	Name() string
+	// Init is called once after the runtime is assembled, before any
+	// worker runs (e.g. resolving the memory domain).
+	Init(rt *Runtime)
+	EntryX(c *Ctx, o *Object)
+	ExitX(c *Ctx, o *Object)
+	EntryRO(c *Ctx, o *Object)
+	ExitRO(c *Ctx, o *Object)
+	Fence(c *Ctx)
+	Flush(c *Ctx, o *Object)
+	Read32(c *Ctx, o *Object, off int) uint32
+	Write32(c *Ctx, o *Object, off int, v uint32)
 	// ReadRange reads len(dst) words starting at byte offset off.
 	ReadRange(c *Ctx, o *Object, off int, dst []uint32)
 	// WriteRange writes len(src) words starting at byte offset off.
@@ -114,90 +134,62 @@ type rangeCopier interface {
 	CopyRange(c *Ctx, dst *Object, dstOff int, src *Object, srcOff int, words int, wantVals bool) ([]uint32, bool)
 }
 
-// copyLocalDMA runs the dual-port local-memory DMA between two resolved
-// local addresses — the shared body of the dsm and spm CopyRange
-// implementations — returning the copied values only on demand.
-func copyLocalDMA(c *Ctx, srcA, dstA mem.Addr, words int, wantVals bool) []uint32 {
-	c.T.CopyLocal(c.P, srcA, dstA, words*4)
+// localDomain and clusterDomain select the memory domain a replicated or
+// staging backend keeps its copies in: dsm/spm use the tile-local
+// memories, cdsm/cspm the cluster scratch memories.
+func localDomain(s *soc.System) *soc.Domain   { return s.LocalDomain }
+func clusterDomain(s *soc.System) *soc.Domain { return s.ClusterDomain }
+
+// copyDomainDMA runs the dual-port DMA of the caller's memory in domain d
+// between two resolved addresses — the shared body of the dsm and spm
+// CopyRange implementations — returning the copied values only on demand.
+func copyDomainDMA(c *Ctx, d *soc.Domain, srcA, dstA mem.Addr, words int, wantVals bool) []uint32 {
+	c.T.CopyWithinDomain(c.P, d, srcA, dstA, words*4)
 	if !wantVals {
 		return nil
 	}
 	vals := make([]uint32, words)
-	local := c.rt.Sys.Locals[c.T.ID]
+	m := d.Mem(d.Owner(c.T.ID))
 	for i := range vals {
-		vals[i] = local.Read32(dstA + mem.Addr(4*i))
+		vals[i] = m.Read32(dstA + mem.Addr(4*i))
 	}
 	return vals
 }
 
-// readLocalRange streams a word range out of a resolved local-memory
-// address, one load instruction per word (dsm replicas, spm staged
-// copies).
-func readLocalRange(c *Ctx, base mem.Addr, dst []uint32) {
+// readDomainRange streams a word range out of a resolved address in the
+// caller's memory in domain d, one load instruction per word (dsm
+// replicas, spm staged copies).
+func readDomainRange(c *Ctx, d *soc.Domain, base mem.Addr, dst []uint32) {
 	for i := range dst {
-		dst[i] = c.T.ReadLocal32(c.P, base+mem.Addr(4*i))
+		dst[i] = c.T.ReadDomain32(c.P, d, base+mem.Addr(4*i))
 	}
 }
 
-// writeLocalRange streams a word range into a resolved local-memory
-// address, one store instruction per word.
-func writeLocalRange(c *Ctx, base mem.Addr, src []uint32) {
+// writeDomainRange streams a word range into a resolved address in the
+// caller's memory in domain d, one store instruction per word.
+func writeDomainRange(c *Ctx, d *soc.Domain, base mem.Addr, src []uint32) {
 	for i, v := range src {
-		c.T.WriteLocal32(c.P, base+mem.Addr(4*i), v)
+		c.T.WriteDomain32(c.P, d, base+mem.Addr(4*i), v)
 	}
 }
 
-// WordBackend is the v1 word-granular backend surface. Existing backends
-// that only speak one 32-bit word at a time keep working through
-// AdaptWordBackend, which lowers the ranged operations onto the word path.
-type WordBackend interface {
-	Name() string
-	// Init is called once after the runtime is assembled, before any
-	// worker runs (e.g. DSM replica setup, lock transfer hooks).
-	Init(rt *Runtime)
-	EntryX(c *Ctx, o *Object)
-	ExitX(c *Ctx, o *Object)
-	EntryRO(c *Ctx, o *Object)
-	ExitRO(c *Ctx, o *Object)
-	Fence(c *Ctx)
-	Flush(c *Ctx, o *Object)
-	Read32(c *Ctx, o *Object, off int) uint32
-	Write32(c *Ctx, o *Object, off int, v uint32)
-}
-
-// AdaptWordBackend lifts a word-granular backend to the ranged Backend
-// interface by lowering ReadRange/WriteRange to one Read32/Write32 per
-// word — the compatibility path: semantics and per-word cost are exactly
-// the v1 loop an application would have written.
-func AdaptWordBackend(b WordBackend) Backend { return &wordAdapter{WordBackend: b} }
-
-type wordAdapter struct{ WordBackend }
-
-func (a *wordAdapter) ReadRange(c *Ctx, o *Object, off int, dst []uint32) {
-	ReadRangeByWords(a.WordBackend, c, o, off, dst)
-}
-
-func (a *wordAdapter) WriteRange(c *Ctx, o *Object, off int, src []uint32) {
-	WriteRangeByWords(a.WordBackend, c, o, off, src)
-}
-
-// ReadRangeByWords lowers a ranged read onto a backend's word path.
-func ReadRangeByWords(b WordBackend, c *Ctx, o *Object, off int, dst []uint32) {
+// readRangeByWords lowers a ranged read onto a backend's word path.
+func readRangeByWords(b Backend, c *Ctx, o *Object, off int, dst []uint32) {
 	for i := range dst {
 		dst[i] = b.Read32(c, o, off+4*i)
 	}
 }
 
-// WriteRangeByWords lowers a ranged write onto a backend's word path.
-func WriteRangeByWords(b WordBackend, c *Ctx, o *Object, off int, src []uint32) {
+// writeRangeByWords lowers a ranged write onto a backend's word path.
+func writeRangeByWords(b Backend, c *Ctx, o *Object, off int, src []uint32) {
 	for i, v := range src {
 		b.Write32(c, o, off+4*i, v)
 	}
 }
 
 // replicated is the capability of backends that keep full replicas of the
-// shared heap outside the canonical SDRAM copy (dsm per tile, cdsm per
-// cluster). The runtime uses it to pre-load replicas, to read the
+// shared heap outside the canonical SDRAM copy (dsm and cdsm, and the
+// adaptive router that may delegate to dsm). The runtime uses it to pre-load replicas, to read the
 // authoritative copy after a run, and to bound the heap to the replica
 // capacity. Asserted as an interface so it promotes through wrappers that
 // embed a Backend (e.g. the fault-injecting decorator).
@@ -220,7 +212,7 @@ type lockTransferrer interface {
 
 // unwrapper is implemented by decorating backends (the fault injector) so
 // the runtime can see through them when resolving an object's effective
-// protocol (e.g. the recorder's staging special case for spm).
+// protocol (e.g. the recorder's staging special case for spm and cspm).
 type unwrapper interface {
 	unwrap() Backend
 }
@@ -295,33 +287,38 @@ type Runtime struct {
 	workers []*Ctx
 	nextCtx int
 
-	// clusterArenas are the per-cluster scratch allocators of the cspm
-	// backend, shared by all member workers (lazily sized to the cluster
-	// count).
-	clusterArenas []spmArena
+	// arenas are the staging allocators of the spm backends, one per
+	// owner of each memory domain, shared by every worker that memory
+	// serves (lazily sized to the owner count).
+	arenas map[*soc.Domain][]spmArena
 }
 
-// clusterArena returns cluster cl's scratch staging allocator, initializing
-// it over the full scratch on first use.
-func (rt *Runtime) clusterArena(cl int) *spmArena {
-	if rt.clusterArenas == nil {
-		rt.clusterArenas = make([]spmArena, len(rt.Sys.Clusters))
+// arena returns the staging allocator of owner's memory in domain d,
+// initializing it over the whole memory on first use.
+func (rt *Runtime) arena(d *soc.Domain, owner int) *spmArena {
+	as, ok := rt.arenas[d]
+	if !ok {
+		if rt.arenas == nil {
+			rt.arenas = make(map[*soc.Domain][]spmArena)
+		}
+		as = make([]spmArena, d.Owners())
+		rt.arenas[d] = as
 	}
-	a := &rt.clusterArenas[cl]
+	a := &as[owner]
 	if !a.inited {
-		a.init(rt.stagingBase(), rt.Sys.Cfg.ClusterMemBytes())
+		a.init(rt.stagingBase(), d.Capacity())
 	}
 	return a
 }
 
 // stagingBase returns the offset where scratch-pad staging arenas may start
-// allocating. Replicated routes (dsm per tile, cdsm per cluster, adaptive)
-// mirror the shared heap 1:1 into the same memories the staging arenas
-// carve up — replicaAddr maps o.Addr straight to a local/cluster offset —
-// so when any such route is registered the arenas begin above the mirrored
-// heap, or a staged buffer and a live replica would silently overlap. With
-// no replicated route the arena owns the memory from offset zero, exactly
-// as a pure spm/cspm run always has.
+// allocating. Replicated routes (dsm, cdsm, adaptive) mirror the shared
+// heap 1:1 into the same memories the staging arenas carve up —
+// replicaAddr maps o.Addr straight to an offset in the domain — so when
+// any such route is registered the arenas begin above the mirrored heap,
+// or a staged buffer and a live replica would silently overlap. With no
+// replicated route the arena owns the memory from offset zero, exactly as
+// a pure spm/cspm run always has.
 func (rt *Runtime) stagingBase() mem.Addr {
 	for _, b := range rt.routes {
 		if _, ok := b.(replicated); ok {
@@ -547,8 +544,8 @@ func (rt *Runtime) InitObject(o *Object, words []uint32) {
 
 // ReadObjectWord reads an object's canonical word outside simulated time
 // (for result verification after Run). For replicated backends (dsm, cdsm)
-// the authoritative copy is the replica of the tile/cluster that last held
-// the object exclusively.
+// the authoritative copy is the replica that last held the object
+// exclusively.
 func (rt *Runtime) ReadObjectWord(o *Object, wordIdx int) uint32 {
 	if d, ok := o.route.(replicated); ok {
 		return d.readCanonical(rt, o, wordIdx)

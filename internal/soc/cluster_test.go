@@ -64,25 +64,36 @@ func TestClusterWiring(t *testing.T) {
 	}
 }
 
-// TestClusterAddrMap: ClusterAddr/ClusterOffset round-trip and the scratch
-// windows sit between SDRAM and the tile-local windows.
+// TestClusterAddrMap: the cluster domain's Addr/Offset round-trip, agree
+// with ClusterAddr, and the scratch windows sit between SDRAM and the
+// tile-local windows.
 func TestClusterAddrMap(t *testing.T) {
-	for _, cl := range []int{0, 3, 1023} {
-		a := ClusterAddr(cl, 0x80)
+	cfg := testConfig(8)
+	cfg.Clusters = 4
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := s.ClusterDomain
+	for _, cl := range []int{0, 1, 3} {
+		a := d.Addr(cl, 0x80)
+		if a != ClusterAddr(cl, 0x80) {
+			t.Fatalf("domain Addr(%d) = %#x, ClusterAddr = %#x", cl, a, ClusterAddr(cl, 0x80))
+		}
 		if a < ClusterBase || a >= LocalBase {
 			t.Fatalf("ClusterAddr(%d) = %#x outside the cluster window", cl, a)
 		}
-		c, off := ClusterOffset(a)
+		c, off := d.Offset(a)
 		if c != cl || off != 0x80 {
-			t.Fatalf("ClusterOffset(ClusterAddr(%d, 0x80)) = (%d, %#x)", cl, c, off)
+			t.Fatalf("Offset(ClusterAddr(%d, 0x80)) = (%d, %#x)", cl, c, off)
 		}
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("ClusterOffset accepted a local address")
+			t.Fatal("the cluster domain accepted a local address")
 		}
 	}()
-	ClusterOffset(LocalBase)
+	d.Offset(LocalBase)
 }
 
 // TestClusterValidate: the distinct configuration error messages.
@@ -129,8 +140,8 @@ func TestClusterScratchAccess(t *testing.T) {
 	tl := s.Tiles[5] // cluster 1
 	var got uint32
 	s.K.Spawn("t5", func(p *sim.Proc) {
-		tl.WriteCluster32(p, ClusterAddr(1, 0x40), 0xfeed)
-		got = tl.ReadCluster32(p, ClusterAddr(1, 0x40))
+		tl.WriteDomain32(p, s.ClusterDomain, ClusterAddr(1, 0x40), 0xfeed)
+		got = tl.ReadDomain32(p, s.ClusterDomain, ClusterAddr(1, 0x40))
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -164,9 +175,10 @@ func TestClusterCopies(t *testing.T) {
 	s.SDRAM.WriteBlock(src, payload)
 	out := make([]byte, len(payload))
 	s.K.Spawn("t0", func(p *sim.Proc) {
-		tl.CopyToCluster(p, src, ClusterAddr(0, 0), len(payload))
-		tl.CopyCluster(p, ClusterAddr(0, 0), ClusterAddr(0, 0x100), len(payload))
-		tl.CopyFromCluster(p, ClusterAddr(0, 0x100), 0x2000, len(payload))
+		d := s.ClusterDomain
+		tl.CopyToDomain(p, d, src, ClusterAddr(0, 0), len(payload))
+		tl.CopyWithinDomain(p, d, ClusterAddr(0, 0), ClusterAddr(0, 0x100), len(payload))
+		tl.CopyFromDomain(p, d, ClusterAddr(0, 0x100), 0x2000, len(payload))
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)

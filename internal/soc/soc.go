@@ -103,10 +103,6 @@ func (c Config) clusterBytes() int {
 	return c.ClusterBytes
 }
 
-// ClusterMemBytes returns the effective per-cluster scratch memory size
-// (ClusterBytes with the default applied).
-func (c Config) ClusterMemBytes() int { return c.clusterBytes() }
-
 // DefaultConfig is the 32-tile system used throughout the evaluation.
 func DefaultConfig() Config {
 	return Config{
@@ -181,6 +177,62 @@ type Cluster struct {
 	Tiles []*Tile
 }
 
+// Domain is one level of software-managed memory that backends keep
+// object copies in: every tile's local memory, or every cluster's scratch.
+// The two levels differ only in data, so a backend written once over a
+// Domain runs on either:
+//
+//   - the memory of each owner (a tile, or a cluster of tiles) and the
+//     address window it is mapped at (LocalAddr vs ClusterAddr);
+//   - the owner of a tile, and the gateway tile a NoC write to an owner
+//     is addressed at (the tile itself, or the cluster's first tile);
+//   - the capacity of each owner's memory;
+//   - the crossbar latency a core access pays beyond its execute cycle.
+//     A domain with crossbar latency is shared by several cores: its
+//     accesses count as shared reads and writes. Tile-local memory has
+//     none and counts as neither.
+type Domain struct {
+	mems   []*mem.Local // one memory per owner
+	base   mem.Addr     // owner o's memory is mapped at base + o*stride
+	stride mem.Addr
+	per    int      // tiles per owner
+	bytes  int      // capacity of each owner's memory
+	lat    sim.Time // crossbar latency of a core access
+}
+
+// Owners returns the number of owners (memories) in the domain.
+func (d *Domain) Owners() int { return len(d.mems) }
+
+// Owner returns the owner whose memory serves the given tile.
+func (d *Domain) Owner(tile int) int { return tile / d.per }
+
+// Gateway returns the tile a NoC write into owner's memory is addressed
+// at; the address alone selects the memory, the gateway only the route.
+func (d *Domain) Gateway(owner int) int { return owner * d.per }
+
+// Mem returns owner's memory.
+func (d *Domain) Mem(owner int) *mem.Local { return d.mems[owner] }
+
+// Addr returns the global address of offset off inside owner's memory.
+func (d *Domain) Addr(owner int, off mem.Addr) mem.Addr {
+	return d.base + mem.Addr(owner)*d.stride + off
+}
+
+// Offset inverts Addr, returning the owner and the offset.
+func (d *Domain) Offset(a mem.Addr) (owner int, off mem.Addr) {
+	if a < d.base || int((a-d.base)/d.stride) >= len(d.mems) {
+		panic(fmt.Sprintf("soc: %#x is outside the domain's address window", a))
+	}
+	rel := a - d.base
+	return int(rel / d.stride), rel % d.stride
+}
+
+// Capacity returns the size in bytes of each owner's memory.
+func (d *Domain) Capacity() int { return d.bytes }
+
+// memOf returns the memory serving tile.
+func (d *Domain) memOf(tile int) *mem.Local { return d.mems[tile/d.per] }
+
 // System is an assembled simulated SoC.
 type System struct {
 	K      *sim.Kernel
@@ -192,6 +244,12 @@ type System struct {
 	// Clusters is the cluster level; flat configurations have exactly
 	// one entry holding every tile.
 	Clusters []*Cluster
+
+	// LocalDomain is the tile-local memories as a memory domain (one
+	// owner per tile); ClusterDomain is the cluster scratch memories (one
+	// owner per cluster, reached through the cluster crossbar).
+	LocalDomain   *Domain
+	ClusterDomain *Domain
 
 	Locks lock.Locker
 	// DLock is non-nil when Locks is the distributed implementation;
@@ -236,13 +294,20 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.LocalDomain = &Domain{mems: s.Locals, base: LocalBase, stride: LocalStride, per: 1, bytes: cfg.LocalBytes}
+	scratches := make([]*mem.Local, clusters)
+	for i, cl := range s.Clusters {
+		scratches[i] = cl.Scratch
+	}
+	s.ClusterDomain = &Domain{mems: scratches, base: ClusterBase, stride: ClusterStride, per: tilesPer,
+		bytes: cfg.clusterBytes(), lat: clusterMemLat}
 	// Remote writes into a cluster-scratch window land in the cluster
 	// memory the address names (like local addresses, the address
 	// identifies the destination RAM); everything else goes to the
 	// destination tile's local memory.
 	net.SetMemResolver(func(dst int, addr mem.Addr) *mem.Local {
 		if addr >= ClusterBase && addr < LocalBase {
-			cl, _ := ClusterOffset(addr)
+			cl, _ := s.ClusterDomain.Offset(addr)
 			return s.Clusters[cl].Scratch
 		}
 		return s.Locals[dst]
@@ -282,30 +347,10 @@ func LocalAddr(t int, off mem.Addr) mem.Addr {
 	return LocalBase + mem.Addr(t)*LocalStride + off
 }
 
-// LocalOffset inverts LocalAddr for any tile, returning the owning tile and
-// the offset.
-func LocalOffset(a mem.Addr) (tile int, off mem.Addr) {
-	if a < LocalBase {
-		panic(fmt.Sprintf("soc: %#x is not a local address", a))
-	}
-	rel := a - LocalBase
-	return int(rel / LocalStride), rel % LocalStride
-}
-
 // ClusterAddr returns the global address of offset off inside cluster cl's
 // scratch memory.
 func ClusterAddr(cl int, off mem.Addr) mem.Addr {
 	return ClusterBase + mem.Addr(cl)*ClusterStride + off
-}
-
-// ClusterOffset inverts ClusterAddr, returning the owning cluster and the
-// offset.
-func ClusterOffset(a mem.Addr) (cluster int, off mem.Addr) {
-	if a < ClusterBase || a >= LocalBase {
-		panic(fmt.Sprintf("soc: %#x is not a cluster-scratch address", a))
-	}
-	rel := a - ClusterBase
-	return int(rel / ClusterStride), rel % ClusterStride
 }
 
 // Run executes the simulation to completion.

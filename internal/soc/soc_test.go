@@ -40,12 +40,15 @@ func TestSystemTopology(t *testing.T) {
 	if s.DLock == nil {
 		t.Fatal("default lock should be distributed")
 	}
-	// Local address map round-trips.
+	// Local address map round-trips through the local domain.
 	for _, tile := range []int{0, 7, 31} {
 		a := LocalAddr(tile, 0x40)
-		tl, off := LocalOffset(a)
+		if s.LocalDomain.Addr(tile, 0x40) != a {
+			t.Fatalf("local domain Addr(%d, 0x40) != LocalAddr", tile)
+		}
+		tl, off := s.LocalDomain.Offset(a)
 		if tl != tile || off != 0x40 {
-			t.Fatalf("LocalOffset(LocalAddr(%d, 0x40)) = (%d, %#x)", tile, tl, off)
+			t.Fatalf("Offset(LocalAddr(%d, 0x40)) = (%d, %#x)", tile, tl, off)
 		}
 	}
 }
@@ -214,12 +217,13 @@ func TestCopyToFromLocal(t *testing.T) {
 	}
 	s.K.Spawn("core", func(p *sim.Proc) {
 		dst := LocalAddr(1, 0x100)
-		tile.CopyToLocal(p, 0x5000, dst, 64)
-		if v := tile.ReadLocal32(p, dst+4*5); v != 25 {
+		d := s.LocalDomain
+		tile.CopyToDomain(p, d, 0x5000, dst, 64)
+		if v := tile.ReadDomain32(p, d, dst+4*5); v != 25 {
 			t.Errorf("local copy word 5 = %d, want 25", v)
 		}
-		tile.WriteLocal32(p, dst+4*5, 999)
-		tile.CopyFromLocal(p, dst, 0x5000, 64)
+		tile.WriteDomain32(p, d, dst+4*5, 999)
+		tile.CopyFromDomain(p, d, dst, 0x5000, 64)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)

@@ -263,21 +263,6 @@ func (t *Tile) WriteShared32Uncached(p *sim.Proc, addr mem.Addr, v uint32) {
 	t.Stats.WriteStall++
 }
 
-// ReadLocal32 loads from this tile's local memory: single-cycle, already
-// covered by the instruction's execute cycle (LMB-style).
-func (t *Tile) ReadLocal32(p *sim.Proc, addr mem.Addr) uint32 {
-	t.fetchAndExec(p, 1)
-	t.Local.CoreReads++
-	return t.Local.Read32(addr)
-}
-
-// WriteLocal32 stores to this tile's local memory in a single cycle.
-func (t *Tile) WriteLocal32(p *sim.Proc, addr mem.Addr, v uint32) {
-	t.fetchAndExec(p, 1)
-	t.Local.CoreWrites++
-	t.Local.Write32(addr, v)
-}
-
 // dmaSetupInstrs is the instruction cost of programming a block-move
 // (address/length registers plus the kick) charged once per DMA-style
 // transfer, independent of its size.
@@ -380,23 +365,6 @@ func (t *Tile) WriteSharedRangeCached(p *sim.Proc, addr mem.Addr, src []uint32) 
 	}
 }
 
-// CopyLocal is a DMA-style block move inside this tile's local memory: the
-// core programs the engine (dmaSetupInstrs) and the dual-port RAM streams
-// one word per cycle, read and write overlapped — half the cost of the
-// load/store-per-word loop.
-func (t *Tile) CopyLocal(p *sim.Proc, src, dst mem.Addr, size int) {
-	t.fetchAndExec(p, dmaSetupInstrs)
-	t0 := p.Now()
-	words := (size + 3) / 4
-	buf := make([]byte, size)
-	t.Local.ReadBlock(src, buf)
-	t.Local.WriteBlock(dst, buf)
-	t.Local.CoreReads += uint64(words)
-	t.Local.CoreWrites += uint64(words)
-	p.Wait(sim.Time(words))
-	t.Stats.CopyStall += p.Now() - t0
-}
-
 // FlushShared flush-invalidates the D-cache lines covering [addr,
 // addr+size): one cache-control instruction per line plus bus time for each
 // dirty writeback. This is the cost the paper reports as "time spent on
@@ -441,43 +409,6 @@ func (t *Tile) InvalidateShared(p *sim.Proc, addr mem.Addr, size int) {
 	}
 }
 
-// CopyToLocal copies size bytes from SDRAM into this tile's local memory
-// (SPM staging / DSM replica initialization) as one DMA-style burst
-// transaction: a single arbitration, then the lines stream back-to-back on
-// the data channel while the dual-port local memory absorbs them. A
-// one-line copy costs exactly what a single line-burst access does.
-func (t *Tile) CopyToLocal(p *sim.Proc, src mem.Addr, dst mem.Addr, size int) {
-	if size <= 0 {
-		return
-	}
-	t0 := p.Now()
-	ls := t.Sys.Cfg.SDRAM.LineSize
-	lines := (size + ls - 1) / ls
-	t.Sys.SDRAM.AccessLines(p, src, lines)
-	t.Sys.SDRAM.LineFills += uint64(lines)
-	buf := make([]byte, size)
-	t.Sys.SDRAM.ReadBlock(src, buf)
-	t.Local.WriteBlock(dst, buf)
-	t.Stats.CopyStall += p.Now() - t0
-}
-
-// CopyFromLocal copies size bytes from this tile's local memory back to
-// SDRAM in one DMA-style burst transaction.
-func (t *Tile) CopyFromLocal(p *sim.Proc, src mem.Addr, dst mem.Addr, size int) {
-	if size <= 0 {
-		return
-	}
-	t0 := p.Now()
-	ls := t.Sys.Cfg.SDRAM.LineSize
-	lines := (size + ls - 1) / ls
-	buf := make([]byte, size)
-	t.Local.ReadBlock(src, buf)
-	t.Sys.SDRAM.AccessLines(p, dst, lines)
-	t.Sys.SDRAM.LineWBs += uint64(lines)
-	t.Sys.SDRAM.WriteBlock(dst, buf)
-	t.Stats.CopyStall += p.Now() - t0
-}
-
 // clusterMemLat is the extra crossbar traversal latency of a
 // cluster-scratch access over a tile-local one. The scratch is multi-bank
 // and the member cores reach it through the cluster crossbar, so an access
@@ -485,31 +416,61 @@ func (t *Tile) CopyFromLocal(p *sim.Proc, src mem.Addr, dst mem.Addr, size int) 
 // bank conflicts are not modelled.
 const clusterMemLat = sim.Time(1)
 
-// ReadCluster32 loads a word from this tile's cluster scratch memory: one
-// instruction plus the crossbar traversal, charged as a shared-read stall.
-func (t *Tile) ReadCluster32(p *sim.Proc, addr mem.Addr) uint32 {
+// ReadDomain32 loads a word from this tile's memory in domain d. A
+// tile-local load is single-cycle, already covered by the instruction's
+// execute cycle (LMB-style); a cluster-scratch load adds the crossbar
+// traversal, charged as a shared-read stall.
+func (t *Tile) ReadDomain32(p *sim.Proc, d *Domain, addr mem.Addr) uint32 {
 	t.fetchAndExec(p, 1)
-	p.Wait(clusterMemLat)
-	t.Stats.SharedReadStall += clusterMemLat
-	t.Stats.SharedReads++
-	t.Cluster.Scratch.CoreReads++
-	return t.Cluster.Scratch.Read32(addr)
+	if d.lat > 0 {
+		p.Wait(d.lat)
+		t.Stats.SharedReadStall += d.lat
+		t.Stats.SharedReads++
+	}
+	m := d.memOf(t.ID)
+	m.CoreReads++
+	return m.Read32(addr)
 }
 
-// WriteCluster32 stores a word into this tile's cluster scratch memory.
-func (t *Tile) WriteCluster32(p *sim.Proc, addr mem.Addr, v uint32) {
+// WriteDomain32 stores a word into this tile's memory in domain d, with
+// the same costs as ReadDomain32 (a crossbar store stalls as a write).
+func (t *Tile) WriteDomain32(p *sim.Proc, d *Domain, addr mem.Addr, v uint32) {
 	t.fetchAndExec(p, 1)
-	p.Wait(clusterMemLat)
-	t.Stats.WriteStall += clusterMemLat
-	t.Stats.SharedWrites++
-	t.Cluster.Scratch.CoreWrites++
-	t.Cluster.Scratch.Write32(addr, v)
+	if d.lat > 0 {
+		p.Wait(d.lat)
+		t.Stats.WriteStall += d.lat
+		t.Stats.SharedWrites++
+	}
+	m := d.memOf(t.ID)
+	m.CoreWrites++
+	m.Write32(addr, v)
 }
 
-// CopyToCluster copies size bytes from SDRAM into this tile's cluster
-// scratch as one DMA-style burst (the cluster-level analogue of
-// CopyToLocal).
-func (t *Tile) CopyToCluster(p *sim.Proc, src mem.Addr, dst mem.Addr, size int) {
+// CopyWithinDomain is a DMA-style block move inside this tile's memory in
+// domain d: the core programs the engine (dmaSetupInstrs) and the
+// dual-port RAM streams one word per cycle, read and write overlapped —
+// half the cost of the load/store-per-word loop — plus the crossbar
+// traversal once.
+func (t *Tile) CopyWithinDomain(p *sim.Proc, d *Domain, src, dst mem.Addr, size int) {
+	t.fetchAndExec(p, dmaSetupInstrs)
+	t0 := p.Now()
+	words := (size + 3) / 4
+	buf := make([]byte, size)
+	m := d.memOf(t.ID)
+	m.ReadBlock(src, buf)
+	m.WriteBlock(dst, buf)
+	m.CoreReads += uint64(words)
+	m.CoreWrites += uint64(words)
+	p.Wait(sim.Time(words) + d.lat)
+	t.Stats.CopyStall += p.Now() - t0
+}
+
+// CopyToDomain copies size bytes from SDRAM into this tile's memory in
+// domain d (staging a scope's copy) as one DMA-style burst
+// transaction: a single arbitration, then the lines stream back-to-back
+// on the data channel while the dual-port memory absorbs them. A one-line
+// copy costs exactly what a single line-burst access does.
+func (t *Tile) CopyToDomain(p *sim.Proc, d *Domain, src mem.Addr, dst mem.Addr, size int) {
 	if size <= 0 {
 		return
 	}
@@ -520,13 +481,13 @@ func (t *Tile) CopyToCluster(p *sim.Proc, src mem.Addr, dst mem.Addr, size int) 
 	t.Sys.SDRAM.LineFills += uint64(lines)
 	buf := make([]byte, size)
 	t.Sys.SDRAM.ReadBlock(src, buf)
-	t.Cluster.Scratch.WriteBlock(dst, buf)
+	d.memOf(t.ID).WriteBlock(dst, buf)
 	t.Stats.CopyStall += p.Now() - t0
 }
 
-// CopyFromCluster copies size bytes from this tile's cluster scratch back
-// to SDRAM in one DMA-style burst.
-func (t *Tile) CopyFromCluster(p *sim.Proc, src mem.Addr, dst mem.Addr, size int) {
+// CopyFromDomain copies size bytes from this tile's memory in domain d
+// back to SDRAM in one DMA-style burst transaction.
+func (t *Tile) CopyFromDomain(p *sim.Proc, d *Domain, src mem.Addr, dst mem.Addr, size int) {
 	if size <= 0 {
 		return
 	}
@@ -534,26 +495,10 @@ func (t *Tile) CopyFromCluster(p *sim.Proc, src mem.Addr, dst mem.Addr, size int
 	ls := t.Sys.Cfg.SDRAM.LineSize
 	lines := (size + ls - 1) / ls
 	buf := make([]byte, size)
-	t.Cluster.Scratch.ReadBlock(src, buf)
+	d.memOf(t.ID).ReadBlock(src, buf)
 	t.Sys.SDRAM.AccessLines(p, dst, lines)
 	t.Sys.SDRAM.LineWBs += uint64(lines)
 	t.Sys.SDRAM.WriteBlock(dst, buf)
-	t.Stats.CopyStall += p.Now() - t0
-}
-
-// CopyCluster is a DMA-style block move inside this tile's cluster scratch
-// memory: like CopyLocal, one word per cycle with read and write
-// overlapped, plus the crossbar traversal once.
-func (t *Tile) CopyCluster(p *sim.Proc, src, dst mem.Addr, size int) {
-	t.fetchAndExec(p, dmaSetupInstrs)
-	t0 := p.Now()
-	words := (size + 3) / 4
-	buf := make([]byte, size)
-	t.Cluster.Scratch.ReadBlock(src, buf)
-	t.Cluster.Scratch.WriteBlock(dst, buf)
-	t.Cluster.Scratch.CoreReads += uint64(words)
-	t.Cluster.Scratch.CoreWrites += uint64(words)
-	p.Wait(sim.Time(words) + clusterMemLat)
 	t.Stats.CopyStall += p.Now() - t0
 }
 

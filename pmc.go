@@ -331,9 +331,6 @@ type (
 	// Backend implements the annotations for one architecture,
 	// including the ranged data path (ReadRange/WriteRange).
 	Backend = rt.Backend
-	// WordBackend is the v1 word-granular backend surface; lift it to
-	// Backend with AdaptWordBackend.
-	WordBackend = rt.WordBackend
 	// Recorder verifies a run against the formal model.
 	Recorder = rt.Recorder
 	// ScopeRO is the Fig. 10 scoped read-only helper.
@@ -369,11 +366,6 @@ func BackendNames() []string { return append([]string(nil), rt.Backends...) }
 
 // BackendByName returns a backend by name.
 func BackendByName(name string) (Backend, error) { return rt.ByName(name) }
-
-// AdaptWordBackend lifts a word-granular backend to the ranged Backend
-// interface: ReadRange/WriteRange lower to one Read32/Write32 per word,
-// so v1 backends keep working unchanged under the v2 annotation API.
-func AdaptWordBackend(b WordBackend) Backend { return rt.AdaptWordBackend(b) }
 
 // NewRecorder attaches a model recorder to r (call before Alloc).
 func NewRecorder(r *Runtime) *Recorder { return rt.NewRecorder(r) }
