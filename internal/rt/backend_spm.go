@@ -68,7 +68,7 @@ func (b *spmBackend) unstage(c *Ctx, o *Object, addr mem.Addr) {
 // stagedWord reads word i of the staged copy of o open in c (outside
 // simulated time; the recorder's view of the copy-back).
 func (b *spmBackend) stagedWord(c *Ctx, o *Object, i int) uint32 {
-	return b.d.Mem(b.d.Owner(c.T.ID)).Read32(c.scopes[o].spmAddr + mem.Addr(4*i))
+	return b.d.MemOf(c.T.ID).Read32(c.scopes[o].spmAddr + mem.Addr(4*i))
 }
 
 func (b *spmBackend) EntryX(c *Ctx, o *Object) {

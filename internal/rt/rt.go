@@ -149,7 +149,7 @@ func copyDomainDMA(c *Ctx, d *soc.Domain, srcA, dstA mem.Addr, words int, wantVa
 		return nil
 	}
 	vals := make([]uint32, words)
-	m := d.Mem(d.Owner(c.T.ID))
+	m := d.MemOf(c.T.ID)
 	for i := range vals {
 		vals[i] = m.Read32(dstA + mem.Addr(4*i))
 	}
@@ -189,10 +189,11 @@ func writeRangeByWords(b Backend, c *Ctx, o *Object, off int, src []uint32) {
 
 // replicated is the capability of backends that keep full replicas of the
 // shared heap outside the canonical SDRAM copy (dsm and cdsm, and the
-// adaptive router that may delegate to dsm). The runtime uses it to pre-load replicas, to read the
-// authoritative copy after a run, and to bound the heap to the replica
-// capacity. Asserted as an interface so it promotes through wrappers that
-// embed a Backend (e.g. the fault-injecting decorator).
+// adaptive router that may delegate to dsm). The runtime uses it to
+// pre-load replicas, to read the authoritative copy after a run, and to
+// bound the heap to the replica capacity. Asserted as an interface so it
+// promotes through wrappers that embed a Backend (e.g. the fault-injecting
+// decorator).
 type replicated interface {
 	initReplicas(rt *Runtime, o *Object, words []uint32)
 	readCanonical(rt *Runtime, o *Object, wordIdx int) uint32

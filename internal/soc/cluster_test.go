@@ -66,26 +66,38 @@ func TestClusterWiring(t *testing.T) {
 
 // TestClusterAddrMap: the cluster domain's Addr/Offset round-trip, agree
 // with ClusterAddr, and the scratch windows sit between SDRAM and the
-// tile-local windows.
+// tile-local windows, up to the last cluster MaxClusters allows.
 func TestClusterAddrMap(t *testing.T) {
-	cfg := testConfig(8)
-	cfg.Clusters = 4
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	domain := func(tiles, clusters int) *Domain {
+		cfg := testConfig(tiles)
+		cfg.Clusters = clusters
+		cfg.LocalBytes, cfg.ClusterBytes = 1024, 1024
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.ClusterDomain
 	}
-	d := s.ClusterDomain
-	for _, cl := range []int{0, 1, 3} {
-		a := d.Addr(cl, 0x80)
-		if a != ClusterAddr(cl, 0x80) {
-			t.Fatalf("domain Addr(%d) = %#x, ClusterAddr = %#x", cl, a, ClusterAddr(cl, 0x80))
-		}
-		if a < ClusterBase || a >= LocalBase {
-			t.Fatalf("ClusterAddr(%d) = %#x outside the cluster window", cl, a)
-		}
-		c, off := d.Offset(a)
-		if c != cl || off != 0x80 {
-			t.Fatalf("Offset(ClusterAddr(%d, 0x80)) = (%d, %#x)", cl, c, off)
+	small, widest := domain(8, 4), domain(MaxClusters, MaxClusters)
+	for _, c := range []struct {
+		d        *Domain
+		clusters []int
+	}{
+		{small, []int{0, 1, 3}},
+		{widest, []int{0, 3, MaxClusters - 1}},
+	} {
+		for _, cl := range c.clusters {
+			a := c.d.Addr(cl, 0x80)
+			if a != ClusterAddr(cl, 0x80) {
+				t.Fatalf("domain Addr(%d) = %#x, ClusterAddr = %#x", cl, a, ClusterAddr(cl, 0x80))
+			}
+			if a < ClusterBase || a >= LocalBase {
+				t.Fatalf("ClusterAddr(%d) = %#x outside the cluster window", cl, a)
+			}
+			got, off := c.d.Offset(a)
+			if got != cl || off != 0x80 {
+				t.Fatalf("Offset(ClusterAddr(%d, 0x80)) = (%d, %#x)", cl, got, off)
+			}
 		}
 	}
 	defer func() {
@@ -93,7 +105,7 @@ func TestClusterAddrMap(t *testing.T) {
 			t.Fatal("the cluster domain accepted a local address")
 		}
 	}()
-	d.Offset(LocalBase)
+	widest.Offset(LocalBase)
 }
 
 // TestClusterValidate: the distinct configuration error messages.

@@ -230,8 +230,8 @@ func (d *Domain) Offset(a mem.Addr) (owner int, off mem.Addr) {
 // Capacity returns the size in bytes of each owner's memory.
 func (d *Domain) Capacity() int { return d.bytes }
 
-// memOf returns the memory serving tile.
-func (d *Domain) memOf(tile int) *mem.Local { return d.mems[tile/d.per] }
+// MemOf returns the memory serving tile.
+func (d *Domain) MemOf(tile int) *mem.Local { return d.mems[tile/d.per] }
 
 // System is an assembled simulated SoC.
 type System struct {

@@ -427,7 +427,7 @@ func (t *Tile) ReadDomain32(p *sim.Proc, d *Domain, addr mem.Addr) uint32 {
 		t.Stats.SharedReadStall += d.lat
 		t.Stats.SharedReads++
 	}
-	m := d.memOf(t.ID)
+	m := d.MemOf(t.ID)
 	m.CoreReads++
 	return m.Read32(addr)
 }
@@ -441,7 +441,7 @@ func (t *Tile) WriteDomain32(p *sim.Proc, d *Domain, addr mem.Addr, v uint32) {
 		t.Stats.WriteStall += d.lat
 		t.Stats.SharedWrites++
 	}
-	m := d.memOf(t.ID)
+	m := d.MemOf(t.ID)
 	m.CoreWrites++
 	m.Write32(addr, v)
 }
@@ -456,7 +456,7 @@ func (t *Tile) CopyWithinDomain(p *sim.Proc, d *Domain, src, dst mem.Addr, size 
 	t0 := p.Now()
 	words := (size + 3) / 4
 	buf := make([]byte, size)
-	m := d.memOf(t.ID)
+	m := d.MemOf(t.ID)
 	m.ReadBlock(src, buf)
 	m.WriteBlock(dst, buf)
 	m.CoreReads += uint64(words)
@@ -481,7 +481,7 @@ func (t *Tile) CopyToDomain(p *sim.Proc, d *Domain, src mem.Addr, dst mem.Addr, 
 	t.Sys.SDRAM.LineFills += uint64(lines)
 	buf := make([]byte, size)
 	t.Sys.SDRAM.ReadBlock(src, buf)
-	d.memOf(t.ID).WriteBlock(dst, buf)
+	d.MemOf(t.ID).WriteBlock(dst, buf)
 	t.Stats.CopyStall += p.Now() - t0
 }
 
@@ -495,7 +495,7 @@ func (t *Tile) CopyFromDomain(p *sim.Proc, d *Domain, src mem.Addr, dst mem.Addr
 	ls := t.Sys.Cfg.SDRAM.LineSize
 	lines := (size + ls - 1) / ls
 	buf := make([]byte, size)
-	d.memOf(t.ID).ReadBlock(src, buf)
+	d.MemOf(t.ID).ReadBlock(src, buf)
 	t.Sys.SDRAM.AccessLines(p, dst, lines)
 	t.Sys.SDRAM.LineWBs += uint64(lines)
 	t.Sys.SDRAM.WriteBlock(dst, buf)
