@@ -30,47 +30,81 @@ func usagef(format string, args ...any) error { return cli.Usagef(format, args..
 
 func fail(err error) { cli.Fail("pmcsim", err) }
 
-func main() {
-	var (
-		expID    = flag.String("exp", "", "experiment ID to run (see -list)")
-		all      = flag.Bool("all", false, "run every experiment")
-		list     = flag.Bool("list", false, "list experiments")
-		tiles    = flag.Int("tiles", 0, "override tile count (0 = experiment default)")
-		scale    = flag.String("scale", "full", `scale: "full" (paper) or "small" (quick)`)
-		runApp   = flag.String("run", "", "run one workload (see -list) instead of an experiment")
-		backend  = flag.String("backend", "swcc", "backend for -run: "+strings.Join(pmc.BackendNames(), ", "))
-		place    = flag.String("place", "", `with -run: per-object placement "obj=backend,..." (trailing-* globs match name prefixes; unmatched objects use -backend)`)
-		load     = flag.Float64("load", 0, "with -run: offered load in requests per kilocycle for the open-loop service workloads (0 = workload default)")
-		traceOut = flag.String("trace", "", "with -run: write a Chrome-trace JSON of the run to this file")
-		clusters = flag.Int("clusters", 0, "with -run or -sweep: cluster count (0 = derived from the topology, 1 = flat)")
-		queue    = flag.String("queue", "wheel", `with -run or -sweep: event-queue implementation, "wheel" or "heap" (results identical)`)
+// options is the parsed and validated command line.
+type options struct {
+	expID, scale, runApp, backend, traceOut, topo  string
+	sweepApps, backends, tileList, jsonOut, csvOut string
+	all, list                                      bool
+	tiles, clusters, parallel                      int
+	load                                           float64
+	qkind                                          pmc.EventQueueKind
+	placement                                      map[string]string
+}
 
-		sweepApps = flag.String("sweep", "", `comma-separated workloads to sweep ("splash" = radiosity,raytrace,volrend; "all" = every workload)`)
-		backends  = flag.String("backends", "nocc,swcc,dsm,spm", "with -sweep: comma-separated backend axis")
-		tileList  = flag.String("tilelist", "2,4,8,16,32", "with -sweep: comma-separated tile-count axis")
-		topo      = flag.String("topo", "ring", `with -run or -sweep: NoC topology: "ring", "mesh", "cluster:<local>x<global>", or (sweeps only) "both"`)
-		parallel  = flag.Int("parallel", 0, "max concurrent simulations in sweeps and experiments (0 = GOMAXPROCS, 1 = sequential)")
-		jsonOut   = flag.String("json", "", `with -sweep: write the JSON result table to this file ("-" = stdout)`)
-		csvOut    = flag.String("csv", "", `with -sweep: write the CSV result table to this file ("-" = stdout)`)
-	)
-	flag.Parse()
+// parseFlags parses args into fs and checks every flag value that can be
+// checked before any simulation spins up: a bad value is a usage error
+// (exit 2), not a run failure, and no value is silently defaulted.
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
+	var o options
+	fs.StringVar(&o.expID, "exp", "", "experiment ID to run (see -list)")
+	fs.BoolVar(&o.all, "all", false, "run every experiment")
+	fs.BoolVar(&o.list, "list", false, "list experiments")
+	fs.IntVar(&o.tiles, "tiles", 0, "override tile count (0 = experiment default)")
+	fs.StringVar(&o.scale, "scale", "full", `with -exp, -all or -sweep: "full" (paper) or "small" (quick)`)
+	fs.StringVar(&o.runApp, "run", "", "run one workload (see -list) instead of an experiment")
+	fs.StringVar(&o.backend, "backend", "swcc", "backend for -run: "+strings.Join(pmc.BackendNames(), ", "))
+	place := fs.String("place", "", `with -run: per-object placement "obj=backend,..." (trailing-* globs match name prefixes; unmatched objects use -backend)`)
+	fs.Float64Var(&o.load, "load", 0, "with -run: offered load in requests per kilocycle for the open-loop service workloads (0 = workload default)")
+	fs.StringVar(&o.traceOut, "trace", "", "with -run: write a Chrome-trace JSON of the run to this file")
+	fs.IntVar(&o.clusters, "clusters", 0, "with -run or -sweep: cluster count (0 = derived from the topology, 1 = flat)")
+	queue := fs.String("queue", "wheel", `with -run or -sweep: event-queue implementation, "wheel" or "heap" (results identical)`)
 
-	// Platform-shape flags are validated here, before any simulation
-	// spins up: a bad value is a usage error (exit 2), not a run failure.
-	if err := checkClusters(*clusters, *tiles); err != nil {
-		fail(err)
-	}
-	qkind, err := pmc.ParseEventQueue(*queue)
-	if err != nil {
-		fail(usagef(`bad -queue %q (valid: wheel, heap)`, *queue))
-	}
-	placement, err := parsePlacement(*place)
-	if err != nil {
-		fail(err)
+	fs.StringVar(&o.sweepApps, "sweep", "", `comma-separated workloads to sweep ("splash" = radiosity,raytrace,volrend; "all" = every workload)`)
+	fs.StringVar(&o.backends, "backends", "nocc,swcc,dsm,spm", "with -sweep: comma-separated backend axis")
+	fs.StringVar(&o.tileList, "tilelist", "2,4,8,16,32", "with -sweep: comma-separated tile-count axis")
+	fs.StringVar(&o.topo, "topo", "ring", `with -run or -sweep: NoC topology: "ring", "mesh", "cluster:<local>x<global>", or (sweeps only) "both"`)
+	fs.IntVar(&o.parallel, "parallel", 0, "max concurrent simulations in sweeps and experiments (0 = GOMAXPROCS, 1 = sequential)")
+	fs.StringVar(&o.jsonOut, "json", "", `with -sweep: write the JSON result table to this file ("-" = stdout)`)
+	fs.StringVar(&o.csvOut, "csv", "", `with -sweep: write the CSV result table to this file ("-" = stdout)`)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
 
+	scaleSet := false
+	fs.Visit(func(f *flag.Flag) { scaleSet = scaleSet || f.Name == "scale" })
 	switch {
-	case *list:
+	case o.tiles < 0:
+		return nil, usagef("-tiles must be non-negative, got %d", o.tiles)
+	case o.parallel < 0:
+		return nil, usagef("-parallel must be non-negative, got %d", o.parallel)
+	case o.load < 0:
+		return nil, usagef("-load must be positive, got %g", o.load)
+	case scaleSet && o.runApp != "":
+		return nil, usagef("-scale does not apply to -run (a single run uses the workload's own size)")
+	}
+	if err := checkScale(o.scale); err != nil {
+		return nil, err
+	}
+	if err := checkClusters(o.clusters, o.tiles); err != nil {
+		return nil, err
+	}
+	var err error
+	if o.qkind, err = pmc.ParseEventQueue(*queue); err != nil {
+		return nil, usagef(`bad -queue %q (valid: wheel, heap)`, *queue)
+	}
+	if o.placement, err = parsePlacement(*place); err != nil {
+		return nil, err
+	}
+	return &o, nil
+}
+
+func main() {
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fail(err)
+	}
+	switch {
+	case o.list:
 		fmt.Println("experiments:")
 		for _, e := range pmc.Experiments() {
 			fmt.Printf("  %-22s %s\n", e.ID, e.Title)
@@ -80,34 +114,28 @@ func main() {
 			fmt.Printf("  %s\n", n)
 		}
 		return
-	case *sweepApps != "":
-		if err := runSweep(*sweepApps, *backends, *tileList, *topo, *scale, *clusters, qkind, *parallel, *jsonOut, *csvOut); err != nil {
+	case o.sweepApps != "":
+		if err := runSweep(o.sweepApps, o.backends, o.tileList, o.topo, o.scale, o.clusters, o.qkind, o.parallel, o.jsonOut, o.csvOut); err != nil {
 			fail(err)
 		}
 		return
-	case *runApp != "":
-		if err := runWorkload(*runApp, *backend, *tiles, *topo, *clusters, qkind, *load, *traceOut, placement); err != nil {
+	case o.runApp != "":
+		if err := runWorkload(o.runApp, o.backend, o.tiles, o.topo, o.clusters, o.qkind, o.load, o.traceOut, o.placement); err != nil {
 			fail(err)
 		}
 		return
-	case *all:
-		if err := checkScale(*scale); err != nil {
-			fail(err)
-		}
-		opts := pmc.ExpOptions{Tiles: *tiles, Scale: *scale, Workers: *parallel}
+	case o.all:
+		opts := pmc.ExpOptions{Tiles: o.tiles, Scale: o.scale, Workers: o.parallel}
 		if err := pmc.RunAllExperiments(os.Stdout, opts); err != nil {
 			fail(err)
 		}
 		return
-	case *expID != "":
-		if err := checkScale(*scale); err != nil {
-			fail(err)
+	case o.expID != "":
+		if !knownExperiment(o.expID) {
+			fail(usagef("unknown experiment %q (see -list)", o.expID))
 		}
-		if !knownExperiment(*expID) {
-			fail(usagef("unknown experiment %q (see -list)", *expID))
-		}
-		opts := pmc.ExpOptions{Tiles: *tiles, Scale: *scale, Workers: *parallel}
-		if err := pmc.RunExperiment(os.Stdout, *expID, opts); err != nil {
+		opts := pmc.ExpOptions{Tiles: o.tiles, Scale: o.scale, Workers: o.parallel}
+		if err := pmc.RunExperiment(os.Stdout, o.expID, opts); err != nil {
 			fail(err)
 		}
 		return
@@ -153,9 +181,6 @@ func knownExperiment(id string) bool {
 // runSweep expands the flag grid into a SweepSpec, runs it, and emits the
 // requested tables.
 func runSweep(apps, backends, tileList, topo, scale string, clusters int, qkind pmc.EventQueueKind, parallel int, jsonOut, csvOut string) error {
-	if err := checkScale(scale); err != nil {
-		return err
-	}
 	small := scale == "small"
 
 	switch apps {
@@ -313,9 +338,6 @@ func runWorkload(name, backend string, tiles int, topo string, clusters int, qki
 		return usagef("bad -backend: %v", err)
 	}
 	if load != 0 {
-		if load < 0 {
-			return usagef("-load must be positive, got %g", load)
-		}
 		if !pmc.SetOfferedLoad(app, load) {
 			return usagef("-load only applies to the open-loop service workloads, not %q", name)
 		}

@@ -79,12 +79,10 @@ type engine struct {
 	maxStates int64
 	states    atomic.Int64
 	budgetHit atomic.Bool
-	cache     sync.Map // fingerprint/canonical fingerprint -> *cacheEntry
-	// auts holds the program's non-identity automorphisms when symmetry
-	// reduction is on (empty = plain memoization). The memo table is then
-	// keyed by the orbit-canonical fingerprint and stores results in the
-	// canonical register frame (see symmetry.go).
-	auts []*autPerm
+	// cache is keyed by fingerprint, or under symmetry reduction (the
+	// Explorer has automorphism frames) by orbit-canonical fingerprint
+	// with results stored in the canonical register frame (symmetry.go).
+	cache sync.Map // fingerprint -> *cacheEntry
 	// claimed dedups expansion-phase state claims by canonical
 	// fingerprint in symmetry mode, so Result.States counts orbits
 	// identically for every worker count. Only touched from the
@@ -98,10 +96,10 @@ func (g *engine) explore(s *state) (*subResult, error) {
 	if !g.memoize {
 		return g.compute(s)
 	}
-	if len(g.auts) > 0 {
+	if g.x.symmetric() {
 		return g.exploreSym(s)
 	}
-	fp := g.x.fingerprint(s)
+	fp := g.x.fingerprint(s, 0)
 	// Fast path: cache hits dominate once memoization kicks in, so probe
 	// with a plain Load before allocating an entry for LoadOrStore.
 	if prev, ok := g.cache.Load(fp); ok {
@@ -121,14 +119,14 @@ func (g *engine) explore(s *state) (*subResult, error) {
 }
 
 // canonicalFP returns the orbit-canonical fingerprint of s — the minimum
-// permuted fingerprint over the identity and every automorphism — plus
-// the permutation achieving it (nil when the identity frame wins).
+// of its fingerprints over the identity and every automorphism frame —
+// plus the permutation achieving it (nil when the identity frame wins).
 func (g *engine) canonicalFP(s *state) (fingerprint, *autPerm) {
-	best := g.x.fingerprint(s)
+	best := g.x.fingerprint(s, 0)
 	var bestPerm *autPerm
-	for _, p := range g.auts {
-		if fp := g.x.fingerprintPerm(s, p); fp.less(best) {
-			best, bestPerm = fp, p
+	for k := 1; k < len(g.x.frames); k++ {
+		if fp := g.x.fingerprint(s, k); fp.less(best) {
+			best, bestPerm = fp, g.x.frames[k]
 		}
 	}
 	return best, bestPerm
@@ -241,10 +239,15 @@ func (g *engine) compute(s *state) (*subResult, error) {
 // inside a worker subtree: the claimed set and the memo table count
 // disjoint orbits. Returns false when the budget is exhausted.
 func (g *engine) claimFrontier(s *state) bool {
-	if len(g.auts) == 0 {
+	if !g.x.symmetric() {
 		return g.claimState()
 	}
 	fp, _ := g.canonicalFP(s)
+	return g.claimOrbit(fp)
+}
+
+// claimOrbit is claimFrontier for the orbit with canonical fingerprint fp.
+func (g *engine) claimOrbit(fp fingerprint) bool {
 	if g.claimed[fp] {
 		return true
 	}
@@ -301,7 +304,7 @@ func (g *engine) runParallel(root *state, workers int) (*subResult, error) {
 				n := en.s.clone()
 				g.x.do(n, m)
 				if g.memoize {
-					fp := g.x.fingerprint(n)
+					fp := g.x.fingerprint(n, 0)
 					if i, ok := nextIdx[fp]; ok {
 						next[i].mult += en.mult
 						continue

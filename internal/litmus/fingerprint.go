@@ -2,7 +2,6 @@ package litmus
 
 import (
 	"math/bits"
-	"slices"
 
 	"pmc/internal/core"
 )
@@ -13,19 +12,34 @@ import (
 // per-thread last-read views and the execution's dependency graph, after
 // relabeling operation IDs to a form independent of issue interleaving.
 //
-// The relabeling sorts operations by (process, program position): within
-// one process, issue order IS program order, so the per-process sequences
-// are interleaving-invariant, and the location-initialization ops (issued
-// by AddLoc before any thread runs) are identical in every state. All
-// model semantics consulted during exploration — Table I pattern matches,
-// visibility, reachability, last-write and readable sets — are functions
-// of the (ops, edges) graph structure, never of raw issue-order positions,
-// so the relabeled serialization captures the entire future behavior.
+// The relabeling names every operation by a label fixed when it is
+// issued: (process, position among that process's operations) for thread
+// operations — within one process issue order IS program order, so the
+// label does not depend on how the threads interleaved — and (⊥, location)
+// for the location-initialization ops, which are identical in every state.
+// All model semantics consulted during exploration — Table I pattern
+// matches, visibility, reachability, last-write and readable sets — are
+// functions of the labeled (ops, edges) graph, never of raw issue-order
+// positions, so the labeled graph captures the entire future behavior.
 //
-// The serialization is folded into a 128-bit hash (two independently
-// mixed 64-bit lanes) rather than kept as a key string: at ~2¹²⁸ the
-// collision probability over even millions of states is negligible
-// (birthday bound ≈ n²/2¹²⁸), and the memo table stays small.
+// The graph is hashed as a multiset: every operation contributes one
+// token (label, kind, location, value, IsInit) and every edge one token
+// (from-label, to-label, ordering), each token strongly mixed to 128 bits,
+// and the fingerprint accumulator is their lane-wise sum mod 2⁶⁴. A sum
+// does not care about order, so no relabeling pass or edge sort is
+// needed, and it is incremental: core.Execution.Exec only ever adds the
+// new operation and its in-edges, so do adds O(in-degree) tokens and undo
+// pops the accumulator it saved (state.acc is a stack). A fingerprint
+// query then mixes the accumulator with the small per-state part — pcs,
+// lock holders, last-read labels, registers — which costs O(threads ×
+// locations) and allocates nothing.
+//
+// Collision bound: modelling tokens as independent uniform 128-bit
+// values, two different token multisets have equal sums with probability
+// about 2⁻¹²⁸ (the difference of the sums is a nonzero combination of
+// uniform values with small integer multiplicities), and the final
+// two-lane mix keeps that order, so over n distinct states the chance of
+// any memo-key collision is about the birthday bound n²/2¹²⁹.
 
 // fingerprint is a 128-bit canonical state hash, used as a memo-table key.
 type fingerprint struct {
@@ -34,6 +48,8 @@ type fingerprint struct {
 
 // fpHash accumulates 64-bit tokens into two independent lanes: an FNV-1a
 // style lane and a SplitMix64-finalizer style lane over a rotated copy.
+// Its methods take and return values, so a hash being built stays in
+// registers.
 type fpHash struct {
 	hi, lo uint64
 }
@@ -42,200 +58,195 @@ func newFpHash() fpHash {
 	return fpHash{hi: 14695981039346656037, lo: 0x9e3779b97f4a7c15}
 }
 
-func (h *fpHash) mix(x uint64) {
+func (h fpHash) mix(x uint64) fpHash {
 	h.hi = (h.hi ^ x) * 1099511628211
 	l := h.lo ^ bits.RotateLeft64(x, 31)
 	l = (l ^ (l >> 30)) * 0xbf58476d1ce4e5b9
 	h.lo = l ^ (l >> 27)
+	return h
 }
 
-func (h *fpHash) mixInt(x int) { h.mix(uint64(int64(x))) }
+func (h fpHash) mixInt(x int) fpHash { return h.mix(uint64(int64(x))) }
 
-func (h *fpHash) mixString(s string) {
-	h.mixInt(len(s))
+func (h fpHash) mixString(s string) fpHash {
+	h = h.mixInt(len(s))
 	for i := 0; i < len(s); i++ {
-		h.mix(uint64(s[i]))
+		h = h.mix(uint64(s[i]))
+	}
+	return h
+}
+
+// opLabel is the interleaving-invariant name of an issued operation:
+// (thread, position among the thread's operations), or (InitProc,
+// location) for an initialization op.
+type opLabel struct {
+	proc, pos int32
+}
+
+// bits packs a label into one hash word.
+func (l opLabel) bits() uint64 { return uint64(uint32(l.proc))<<32 | uint64(uint32(l.pos)) }
+
+// label maps an identity-frame label into frame p: a thread op moves to
+// the image thread at the same position, an init op to the image
+// location.
+func (p *autPerm) label(l opLabel) opLabel {
+	if l.proc == int32(core.InitProc) {
+		return opLabel{l.proc, int32(p.locs[l.pos])}
+	}
+	return opLabel{int32(p.threads[l.proc]), l.pos}
+}
+
+// loc maps a location into frame p; NoLoc (fences) stays put.
+func (p *autPerm) loc(v core.Loc) core.Loc {
+	if v == core.NoLoc {
+		return v
+	}
+	return core.Loc(p.locs[v])
+}
+
+// fpAcc is a multiset-hash accumulator: the lane-wise sum of the tokens
+// of every operation and edge of an execution, in one frame.
+type fpAcc struct {
+	hi, lo uint64
+}
+
+func (a *fpAcc) add(t fpAcc) {
+	a.hi += t.hi
+	a.lo += t.lo
+}
+
+// Token seeds keep operation and edge tokens in separate hash domains.
+var (
+	opSeed   = fpAcc{hi: 0x2d358dccaa6c78a5, lo: 0x8bb84b93962eacc9}
+	edgeSeed = fpAcc{hi: 0x4b33a62ed433d4a3, lo: 0x4d5a2da51de1aa47}
+)
+
+// mum is the wyhash mixer: the two halves of the 128-bit product of a
+// and b, folded by xor.
+func mum(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
+}
+
+// token hashes three words into one 128-bit multiset element, each lane
+// a two-round wyhash-style mix under its own secrets.
+func token(seed fpAcc, a, b, c uint64) fpAcc {
+	return fpAcc{
+		hi: mum(mum(a^seed.hi, b^0xa0761d6478bd642f)^0xe7037ed1a0b428db, c^0x8ebc6af09c88c6e3),
+		lo: mum(mum(a^seed.lo, b^0x589965cc75374cc3)^0x1d8e4e27c47d124f, c^0x9e3779b97f4a7c15),
 	}
 }
 
-// fpScratch holds the relabeling buffers of one fingerprint computation.
-// Fingerprinting runs once per explored state on the memoized engines, so
-// the buffers are pooled (per Explorer, shared by all workers) instead of
-// allocated per call.
-type fpScratch struct {
-	canon  []int
-	order  []int
-	counts []int
-	edges  []uint64
-}
-
-// growInts returns s with length n, reusing capacity when possible.
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
+// opToken is the element of op, labeled lab in the identity frame, in
+// frame p.
+func (p *autPerm) opToken(lab opLabel, op *core.Op) fpAcc {
+	var init uint64
+	if op.IsInit {
+		init = 1
 	}
-	return s[:n]
+	return token(opSeed, p.label(lab).bits(),
+		uint64(op.Kind)|uint64(uint32(p.loc(op.Loc)))<<8|init<<40, uint64(op.Val))
 }
 
-// fingerprint computes the canonical hash of s.
-func (x *Explorer) fingerprint(s *state) fingerprint {
-	return x.fingerprintPerm(s, nil)
+// edgeToken is the element of an edge between two frame labels.
+func edgeToken(from, to opLabel, ord core.Ord) fpAcc {
+	return token(edgeSeed, from.bits(), to.bits(), uint64(ord))
 }
 
-// fingerprintPerm computes the canonical hash of s as relabeled by
-// program automorphism p (nil = identity, the plain fingerprint). The
-// relabeled state is the one an execution of the permuted-and-renamed
-// program would have reached; since p maps the program onto itself,
-// fingerprintPerm(s, p) is exactly fingerprint(p(s)) for a state p(s)
-// of the same program — the basis of symmetry reduction (symmetry.go).
-func (x *Explorer) fingerprintPerm(s *state, p *autPerm) fingerprint {
-	sc, _ := x.fpPool.Get().(*fpScratch)
-	if sc == nil {
-		sc = &fpScratch{}
-	}
-	defer x.fpPool.Put(sc)
-
+// rootKeys labels the initialization ops of s's fresh execution and seeds
+// one accumulator per frame with their tokens (AddLoc issues no edges).
+func (x *Explorer) rootKeys(s *state) {
 	ops := s.exec.Ops()
-	numLocs := len(x.prog.Locs)
-	// canon[id] is the interleaving-invariant label of op id: init ops
-	// first (they are ops 0..NumLocs-1, identical in every state), then
-	// each thread's ops in program order. Within one process issue order
-	// IS program order, so a counting pass places every op without
-	// building per-process lists: count ops per process, turn the counts
-	// into slot offsets (init ops first), then assign slots in one sweep.
-	// Under a permutation the same pass runs in the permuted frame: an
-	// op of thread t lands in thread p.threads[t]'s slot range, and the
-	// init op of location l (op ID l, issued in AddLoc order) takes init
-	// slot p.locs[l].
-	canon := growInts(sc.canon, len(ops))
-	order := growInts(sc.order, len(ops))
-	counts := growInts(sc.counts, len(x.prog.Threads))
-	for i := range counts {
-		counts[i] = 0
+	s.labels = make([]opLabel, len(ops))
+	for id, op := range ops {
+		s.labels[id] = opLabel{int32(core.InitProc), int32(op.Loc)}
 	}
-	numInit := 0
-	for _, op := range ops {
-		if op.Proc == core.InitProc {
-			numInit++
-		} else if p != nil {
-			counts[p.threads[op.Proc]]++
-		} else {
-			counts[op.Proc]++
+	s.nops = make([]int32, len(x.prog.Threads))
+	s.acc = make([]fpAcc, len(x.frames))
+	for k, p := range x.frames {
+		for id, op := range ops {
+			s.acc[k].add(p.opToken(s.labels[id], op))
 		}
 	}
-	off := numInit
-	for t := range counts {
-		c := counts[t]
-		counts[t] = off
-		off += c
-	}
-	initIdx := 0
-	for _, op := range ops {
-		var slot int
-		if op.Proc == core.InitProc {
-			if p != nil {
-				slot = p.locs[op.Loc]
-			} else {
-				slot = initIdx
-				initIdx++
-			}
-		} else if p != nil {
-			t := p.threads[op.Proc]
-			slot = counts[t]
-			counts[t]++
-		} else {
-			slot = counts[op.Proc]
-			counts[op.Proc]++
-		}
-		canon[op.ID] = slot
-		order[slot] = op.ID
-	}
+}
 
-	h := newFpHash()
-	// Ops in canonical order, procs and locs relabeled.
-	h.mixInt(len(ops))
-	for _, id := range order {
-		op := ops[id]
-		h.mix(uint64(op.Kind))
-		proc, loc := int(op.Proc), int(op.Loc)
-		if p != nil {
-			if op.Proc != core.InitProc {
-				proc = p.threads[proc]
-			}
-			if loc >= 0 {
-				loc = p.locs[loc]
-			}
+// fold labels op, just issued by thread t, and pushes one accumulator per
+// frame: the current one plus the tokens of op and its in-edges (the only
+// edges Exec adds).
+func (x *Explorer) fold(s *state, t int, op *core.Op) {
+	lab := opLabel{int32(t), s.nops[t]}
+	s.nops[t]++
+	s.labels = append(s.labels, lab)
+	in := s.exec.In(op.ID)
+	cur := len(s.acc) - len(x.frames)
+	for k, p := range x.frames {
+		a := s.acc[cur+k]
+		a.add(p.opToken(lab, op))
+		to := p.label(lab)
+		for _, ed := range in {
+			a.add(edgeToken(p.label(s.labels[ed.From]), to, ed.Ord))
 		}
-		h.mixInt(proc)
-		h.mixInt(loc)
-		h.mix(uint64(op.Val))
-		if op.IsInit {
-			h.mix(1)
-		} else {
-			h.mix(0)
-		}
+		s.acc = append(s.acc, a)
 	}
-	// Edges, relabeled and sorted. Op counts in litmus explorations are
-	// tiny (< 2²⁰), so an edge packs into one uint64.
-	edges := sc.edges[:0]
-	for id := range ops {
-		for _, ed := range s.exec.Out(id) {
-			edges = append(edges, uint64(canon[ed.From])<<34|uint64(canon[ed.To])<<4|uint64(ed.Ord))
-		}
-	}
-	slices.Sort(edges)
-	h.mixInt(len(edges))
-	for _, e := range edges {
-		h.mix(e)
-	}
-	// Thread progress, lock holders, last-read views (relabeled), regs —
-	// each walked in the permuted frame's index order.
+}
+
+// unfold is fold's inverse, for the op thread t issued last.
+func (x *Explorer) unfold(s *state, t int) {
+	s.nops[t]--
+	s.labels = s.labels[:len(s.labels)-1]
+	s.acc = s.acc[:len(s.acc)-len(x.frames)]
+}
+
+// fingerprint is the canonical hash of s in frame k (0 = identity): its
+// maintained accumulator for that frame finished with the per-state part.
+// The key in frame k of an automorphism p is exactly the identity key of
+// the state p(s) that the permuted-and-renamed program would have
+// reached — the basis of symmetry reduction (symmetry.go).
+func (x *Explorer) fingerprint(s *state, k int) fingerprint {
+	return x.key(s, s.acc[len(s.acc)-len(x.frames)+k], s.labels, x.frames[k])
+}
+
+// Entry tags of key's sparse lists, in the top two bits of an entry's
+// first word (indexes stay far below 2⁶²), so that the lists need no
+// terminators to parse unambiguously.
+const (
+	heldTag = 1 << 62
+	readTag = 2 << 62
+	regTag  = 3 << 62
+)
+
+// key finishes a fingerprint in frame p: its lanes start from the
+// execution's accumulator acc and absorb s's per-state part, each walked
+// in the frame's index order — thread progress, then the held locks, the
+// set last-read views (as frame labels, via labels) and the set
+// registers. In a typical state most locks are free and most views and
+// registers unset, so those three lists are sparse: one tagged entry per
+// set slot, carrying its frame index.
+func (x *Explorer) key(s *state, acc fpAcc, labels []opLabel, p *autPerm) fingerprint {
+	h := fpHash(acc)
 	for t := range s.pcs {
-		if p != nil {
-			h.mixInt(s.pcs[p.invT[t]])
-		} else {
-			h.mixInt(s.pcs[t])
-		}
+		h = h.mixInt(s.pcs[p.invT[t]])
 	}
 	for l := range s.lockHolder {
-		holder := s.lockHolder[l]
-		if p != nil {
-			holder = s.lockHolder[p.invL[l]]
-			if holder >= 0 {
-				holder = p.threads[holder]
+		if holder := s.lockHolder[p.invL[l]]; holder >= 0 {
+			h = h.mix(heldTag | uint64(l)<<31 | uint64(p.threads[holder]))
+		}
+	}
+	numLocs := len(x.prog.Locs)
+	for t := range s.pcs {
+		row := s.lastRead[p.invT[t]*numLocs:]
+		for l := 0; l < numLocs; l++ {
+			if id := row[p.invL[l]]; id >= 0 {
+				h = h.mix(readTag | uint64(t*numLocs+l))
+				h = h.mix(p.label(labels[id]).bits())
 			}
 		}
-		h.mixInt(holder)
 	}
-	for i := range s.lastRead {
-		var id int
-		if p != nil {
-			t, l := i/numLocs, i%numLocs
-			id = s.lastRead[p.invT[t]*numLocs+p.invL[l]]
-		} else {
-			id = s.lastRead[i]
-		}
-		if id < 0 {
-			h.mixInt(-1)
-		} else {
-			h.mixInt(canon[id])
-		}
-	}
-	// Registers: the file is indexed by regOrder slot, so position
-	// identifies the register and only presence and value need mixing.
 	for r := range s.regs {
-		rv := s.regs[r]
-		if p != nil {
-			rv = s.regs[p.regFrom[r]]
-		}
-		if rv.Set {
-			h.mix(1)
-			h.mix(uint64(rv.Val))
-		} else {
-			h.mix(0)
+		if rv := s.regs[p.regFrom[r]]; rv.Set {
+			h = h.mix(regTag | uint64(r))
+			h = h.mix(uint64(rv.Val))
 		}
 	}
-
-	sc.canon, sc.order, sc.counts, sc.edges = canon, order, counts, edges
 	return fingerprint{hi: h.hi, lo: h.lo}
 }

@@ -27,7 +27,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"pmc/internal/core"
 )
@@ -321,6 +320,13 @@ type state struct {
 	// regs is the register file, indexed by the Explorer's regOrder
 	// position (regIdx); Set distinguishes "never written" from zero.
 	regs []regVal
+	// The incremental fingerprint (fingerprint.go): labels[id] is op
+	// id's interleaving-invariant label, nops[t] counts the ops thread t
+	// has issued, and acc is a stack of accumulator groups, one entry per
+	// Explorer frame, pushed per issued op; the top group is current.
+	labels []opLabel
+	nops   []int32
+	acc    []fpAcc
 }
 
 // regVal is one register slot.
@@ -336,6 +342,9 @@ func (s *state) clone() *state {
 		lockHolder: append([]int(nil), s.lockHolder...),
 		lastRead:   append([]int(nil), s.lastRead...),
 		regs:       append([]regVal(nil), s.regs...),
+		labels:     append([]opLabel(nil), s.labels...),
+		nops:       append([]int32(nil), s.nops...),
+		acc:        append([]fpAcc(nil), s.acc...),
 	}
 }
 
@@ -354,9 +363,10 @@ type Explorer struct {
 	// state lives in a flat per-state file indexed by slot.
 	regOrder []string
 	regIdx   map[string]int
-	// fpPool recycles fingerprint scratch buffers across states and
-	// workers.
-	fpPool sync.Pool
+	// frames are the relabelings every state keeps a fingerprint
+	// accumulator for: frames[0] is the identity, and with Symmetry the
+	// program's non-identity automorphisms follow (symmetry.go).
+	frames []*autPerm
 	// MaxStates aborts pathological explorations. An exploration that
 	// completes using exactly MaxStates states succeeds; the budget
 	// error is returned only when work remained beyond it.
@@ -458,6 +468,10 @@ func (x *Explorer) prepare() (*state, error) {
 	if x.Symmetry && !x.Memoize {
 		return nil, fmt.Errorf("litmus %s: Symmetry requires Memoize (orbit results live in the memo table)", x.prog.Name)
 	}
+	x.frames = []*autPerm{x.identityPerm()}
+	if x.Symmetry {
+		x.frames = append(x.frames, x.automorphisms()...)
+	}
 	s := &state{
 		exec:       exec,
 		pcs:        make([]int, len(x.prog.Threads)),
@@ -471,6 +485,7 @@ func (x *Explorer) prepare() (*state, error) {
 	for i := range s.lastRead {
 		s.lastRead[i] = -1
 	}
+	x.rootKeys(s)
 	return s, nil
 }
 
@@ -485,8 +500,7 @@ func (x *Explorer) Run() (*Result, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	g := &engine{x: x, memoize: x.Memoize, maxStates: int64(x.MaxStates)}
-	if x.Symmetry {
-		g.auts = x.automorphisms()
+	if x.symmetric() {
 		g.claimed = make(map[fingerprint]bool)
 	}
 	var res *subResult
@@ -602,30 +616,34 @@ func (x *Explorer) do(s *state, m move) undoRec {
 	u := undoRec{t: t}
 	p := core.ProcID(t)
 	loc := x.locIdx[in.Loc]
+	var op *core.Op
 	switch in.Kind {
 	case IWrite:
-		s.exec.Write(p, loc, in.Val)
+		op = s.exec.Write(p, loc, in.Val)
 	case IFence:
 		if in.Loc != "" {
-			s.exec.FenceLoc(p, loc)
+			op = s.exec.FenceLoc(p, loc)
 		} else {
-			s.exec.Fence(p)
+			op = s.exec.Fence(p)
 		}
 	case IAcquire:
-		s.exec.Acquire(p, loc)
+		op = s.exec.Acquire(p, loc)
 		s.lockHolder[loc] = t
 	case IRelease:
-		s.exec.Release(p, loc)
+		op = s.exec.Release(p, loc)
 		s.lockHolder[loc] = -1
 	case IRead, IAwaitEq:
 		val := readValue(s, m.from)
-		s.exec.Read(p, loc, val)
+		op = s.exec.Read(p, loc, val)
 		lr := &s.lastRead[t*len(x.prog.Locs)+int(loc)]
 		u.lastRead, *lr = *lr, m.from
 		if in.Reg != "" {
 			r := &s.regs[x.regIdx[in.Reg]]
 			u.reg, *r = *r, regVal{Val: val, Set: true}
 		}
+	}
+	if op != nil {
+		x.fold(s, t, op)
 	}
 	s.pcs[t]++
 	return u
@@ -652,7 +670,12 @@ func (x *Explorer) undo(s *state, u undoRec) {
 		}
 	}
 	s.exec.Undo()
+	x.unfold(s, t)
 }
+
+// symmetric reports whether states are keyed by orbit: Symmetry is on
+// and the program has a non-identity automorphism.
+func (x *Explorer) symmetric() bool { return len(x.frames) > 1 }
 
 // canonical renders a register assignment deterministically. regOrder is
 // sorted by name, so walking the register file in slot order yields the

@@ -86,34 +86,88 @@ func TestDoUndoMatchesCloneWalkerOnCatalog(t *testing.T) {
 	}
 }
 
-// Generated programs as the fuzz campaign explores them (effective
-// program, memoized, one worker, the campaign's budget): the verify
-// corpus — mixed-mode seeds 1 000 000 to 1 000 159 — plus 200 drf and 200
-// racy programs.
-func TestDoUndoMatchesCloneWalkerOnGenerated(t *testing.T) {
-	const campaignBudget = 300_000
-	sets := []struct {
-		mode  fuzz.Mode
-		first int64
-		n     int
-	}{
-		{fuzz.ModeMixed, 1_000_000, 160},
-		{fuzz.ModeDRF, 1, 200},
-		{fuzz.ModeRacy, 1, 200},
-	}
+// genSet is a run of generated programs: n seeds from first, in mode.
+type genSet struct {
+	mode  fuzz.Mode
+	first int64
+	n     int
+}
+
+// verifyCorpus is the program corpus of the verify benchmark: mixed-mode
+// seeds 1 000 000 to 1 000 159.
+var verifyCorpus = genSet{fuzz.ModeMixed, 1_000_000, 160}
+
+// generatedSets is the verify corpus plus 200 drf and 200 racy programs.
+var generatedSets = []genSet{verifyCorpus, {fuzz.ModeDRF, 1, 200}, {fuzz.ModeRacy, 1, 200}}
+
+// campaignBudget is the fuzz campaign's state budget.
+const campaignBudget = 300_000
+
+// eachGenerated runs check on every program of sets as the fuzz campaign
+// explores it (the effective program), in parallel subtests of 20
+// programs; check returns the first difference, or "".
+func eachGenerated(t *testing.T, sets []genSet, check func(p litmus.Program) string) {
 	const chunk = 20 // programs per parallel subtest
-	m := explorerMode{"memo", 1, true, false}
 	for _, set := range sets {
 		for first := set.first; first < set.first+int64(set.n); first += chunk {
 			t.Run(fmt.Sprintf("%s-%d", set.mode, first), func(t *testing.T) {
 				t.Parallel()
 				for seed := first; seed < first+chunk; seed++ {
 					p := conform.EffectiveProgram(fuzz.Generate(seed, fuzz.GenConfig{Mode: set.mode}))
-					if d := diffEngines(p, m, campaignBudget); d != "" {
+					if d := check(p); d != "" {
 						t.Errorf("seed %d: %s\n%s", seed, d, fuzz.Render(p))
 					}
 				}
 			})
 		}
 	}
+}
+
+// Generated programs as the fuzz campaign explores them (effective
+// program, memoized, one worker, the campaign's budget).
+func TestDoUndoMatchesCloneWalkerOnGenerated(t *testing.T) {
+	m := explorerMode{"memo", 1, true, false}
+	eachGenerated(t, generatedSets, func(p litmus.Program) string {
+		return diffEngines(p, m, campaignBudget)
+	})
+}
+
+// errString renders a check error as a difference ("" for none).
+func errString(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// The incremental state key against an independent computation: after
+// every do and every undo, the labels and the accumulator of the identity
+// and of every automorphism frame equal a from-scratch fold of the
+// execution — over the catalog and the verify corpus.
+func TestIncrementalKeysMatchScratchFold(t *testing.T) {
+	for _, p := range litmus.Catalog() {
+		if err := litmus.CheckIncrementalKeys(p, campaignBudget); err != nil {
+			t.Error(err)
+		}
+	}
+	eachGenerated(t, []genSet{verifyCorpus}, func(p litmus.Program) string {
+		return errString(litmus.CheckIncrementalKeys(p, campaignBudget))
+	})
+}
+
+// The incremental key against the sort-based key it replaced: both split
+// the visited states into the same classes, which is what keeps every
+// explored state count unchanged — over the catalog in memo and symmetry
+// modes and over every generated set.
+func TestIncrementalKeyPartitionsLikeSortKey(t *testing.T) {
+	for _, p := range litmus.Catalog() {
+		for _, symmetry := range []bool{false, true} {
+			if err := litmus.CheckSortKeyPartition(p, symmetry, campaignBudget); err != nil {
+				t.Errorf("symmetry=%v: %v", symmetry, err)
+			}
+		}
+	}
+	eachGenerated(t, generatedSets, func(p litmus.Program) string {
+		return errString(litmus.CheckSortKeyPartition(p, false, campaignBudget))
+	})
 }

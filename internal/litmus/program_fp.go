@@ -49,24 +49,24 @@ func Fingerprint(p Program) string {
 	}
 
 	h := newFpHash()
-	h.mixInt(len(p.Threads))
+	h = h.mixInt(len(p.Threads))
 	for _, th := range p.Threads {
-		h.mixInt(len(th))
+		h = h.mixInt(len(th))
 		for _, in := range th {
-			h.mix(uint64(in.Kind))
-			h.mixInt(canonLoc(in.Loc))
+			h = h.mix(uint64(in.Kind))
+			h = h.mixInt(canonLoc(in.Loc))
 			// A location's width is part of program behavior (it sets
 			// how scope and block instructions lower); widths follow the
 			// location through any renaming, keeping the fingerprint
 			// naming-invariant.
-			h.mixInt(p.WidthOf(in.Loc))
+			h = h.mixInt(p.WidthOf(in.Loc))
 			// A location's backend placement is part of program behavior
 			// under mixed-mode execution. Backend names are a fixed
 			// vocabulary — not display names — so they mix as literal
 			// bytes; placements follow the location through renaming.
-			h.mixString(p.Placement[in.Loc])
-			h.mix(uint64(in.Val))
-			h.mixInt(canonReg(in.Reg))
+			h = h.mixString(p.Placement[in.Loc])
+			h = h.mix(uint64(in.Val))
+			h = h.mixInt(canonReg(in.Reg))
 		}
 	}
 	// Declared-but-unused locations affect only the count (their names
@@ -77,7 +77,7 @@ func Fingerprint(p Program) string {
 			unused++
 		}
 	}
-	h.mixInt(unused)
+	h = h.mixInt(unused)
 	return fmt.Sprintf("%016x%016x", h.hi, h.lo)
 }
 
@@ -90,13 +90,13 @@ func Fingerprint(p Program) string {
 // guarantee) — so a sequential and a parallel run share one cache entry.
 func ExploreFingerprint(p Program, memoize bool, maxStates int) string {
 	h := newFpHash()
-	h.mixString(Fingerprint(p))
+	h = h.mixString(Fingerprint(p))
 	m := 0
 	if memoize {
 		m = 1
 	}
-	h.mixInt(m)
-	h.mixInt(maxStates)
+	h = h.mixInt(m)
+	h = h.mixInt(maxStates)
 	return fmt.Sprintf("%016x%016x", h.hi, h.lo)
 }
 

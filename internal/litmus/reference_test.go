@@ -13,8 +13,15 @@ import (
 // step copies the state (execution included) once per successor and
 // recurses into the copy, so no move is ever undone. It shares the memo
 // table, budget and symmetry machinery of the product engine and differs
-// only in how it branches, which is what the differential tests compare
-// (oracle_test.go).
+// only in how it branches and in how it keys states, which is what the
+// differential tests compare (oracle_test.go).
+//
+// The oracle keys every state by folding its execution from scratch
+// (scratchFold), never through the accumulators do/undo maintain: refStep
+// issues into clones without going through do, so the incremental fields
+// a clone carries are stale.
+//
+// The oracle must not share the incremental path: it would agree with its bugs.
 
 // ReferenceRun explores like Run, branching by cloning instead of do/undo.
 func (x *Explorer) ReferenceRun() (*Result, error) {
@@ -27,8 +34,7 @@ func (x *Explorer) ReferenceRun() (*Result, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	g := refEngine{&engine{x: x, memoize: x.Memoize, maxStates: int64(x.MaxStates)}}
-	if x.Symmetry {
-		g.auts = x.automorphisms()
+	if x.symmetric() {
 		g.claimed = make(map[fingerprint]bool)
 	}
 	var res *subResult
@@ -53,14 +59,70 @@ func (x *Explorer) ReferenceRun() (*Result, error) {
 
 type refEngine struct{ *engine }
 
+// scratchFold labels s's operations and sums the tokens of every
+// operation and edge of its execution, in every frame, using only the
+// execution itself: issue order is program order within a thread, so
+// counting each thread's ops in issue order recovers the labels.
+func (x *Explorer) scratchFold(s *state) ([]opLabel, []fpAcc) {
+	ops := s.exec.Ops()
+	labels := make([]opLabel, len(ops))
+	nops := make([]int32, len(x.prog.Threads))
+	for id, op := range ops {
+		if op.IsInit {
+			labels[id] = opLabel{int32(core.InitProc), int32(op.Loc)}
+		} else {
+			labels[id] = opLabel{int32(op.Proc), nops[op.Proc]}
+			nops[op.Proc]++
+		}
+	}
+	acc := make([]fpAcc, len(x.frames))
+	for k, p := range x.frames {
+		for id, op := range ops {
+			acc[k].add(p.opToken(labels[id], op))
+			for _, ed := range s.exec.In(id) {
+				acc[k].add(edgeToken(p.label(labels[ed.From]), p.label(labels[ed.To]), ed.Ord))
+			}
+		}
+	}
+	return labels, acc
+}
+
+// fingerprint is the from-scratch identity key of s.
+func (g refEngine) fingerprint(s *state) fingerprint {
+	labels, acc := g.x.scratchFold(s)
+	return g.x.key(s, acc[0], labels, g.x.frames[0])
+}
+
+// canonicalFP is engine.canonicalFP over from-scratch keys.
+func (g refEngine) canonicalFP(s *state) (fingerprint, *autPerm) {
+	labels, acc := g.x.scratchFold(s)
+	best := g.x.key(s, acc[0], labels, g.x.frames[0])
+	var bestPerm *autPerm
+	for k := 1; k < len(g.x.frames); k++ {
+		if fp := g.x.key(s, acc[k], labels, g.x.frames[k]); fp.less(best) {
+			best, bestPerm = fp, g.x.frames[k]
+		}
+	}
+	return best, bestPerm
+}
+
+// claimFrontier is engine.claimFrontier over from-scratch keys.
+func (g refEngine) claimFrontier(s *state) bool {
+	if !g.x.symmetric() {
+		return g.claimState()
+	}
+	fp, _ := g.canonicalFP(s)
+	return g.claimOrbit(fp)
+}
+
 func (g refEngine) explore(s *state) (*subResult, error) {
 	if !g.memoize {
 		return g.compute(s)
 	}
-	if len(g.auts) > 0 {
+	if g.x.symmetric() {
 		return g.exploreSym(s)
 	}
-	fp := g.x.fingerprint(s)
+	fp := g.fingerprint(s)
 	e := &cacheEntry{done: make(chan struct{})}
 	if prev, loaded := g.cache.LoadOrStore(fp, e); loaded {
 		pe := prev.(*cacheEntry)
@@ -160,7 +222,7 @@ func (g refEngine) runParallel(root *state, workers int) (*subResult, error) {
 			}
 			for _, n := range succs {
 				if g.memoize {
-					fp := g.x.fingerprint(n)
+					fp := g.fingerprint(n)
 					if i, ok := nextIdx[fp]; ok {
 						next[i].mult += en.mult
 						continue

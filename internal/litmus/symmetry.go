@@ -22,8 +22,10 @@ import (
 // per-outcome path counts bit-identical.
 //
 // The canonical key of a state is the minimum, over the identity plus
-// every discovered automorphism, of the permuted fingerprint
-// (fingerprintPerm). Correctness does not require the discovered set to
+// every discovered automorphism, of the state's fingerprint in that frame.
+// The state keeps one multiset accumulator per frame, updated by do/undo
+// with permuted labels (fingerprint.go), so the minimum is a scan over the
+// stored accumulators. Correctness does not require the discovered set to
 // be closed under composition: each permutation is independently a
 // program automorphism, and a memo hit translates through the achieving
 // permutations of both states, so partial groups merely collapse less.
@@ -201,6 +203,21 @@ func (x *Explorer) deriveAut(perm []int) *autPerm {
 		regFrom: invert(regMap),
 	}
 	return a
+}
+
+// identityPerm is frame 0 of every state key: the automorphism that
+// moves nothing.
+func (x *Explorer) identityPerm() *autPerm {
+	t, l, r := ascending(len(x.prog.Threads)), ascending(len(x.prog.Locs)), ascending(len(x.regOrder))
+	return &autPerm{threads: t, invT: t, locs: l, invL: l, regTo: r, regFrom: r}
+}
+
+func ascending(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i
+	}
+	return s
 }
 
 func fillNeg(s []int) []int {
