@@ -19,10 +19,10 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/domain_golden.tx
 
 const goldenPath = "testdata/domain_golden.txt"
 
-// goldenBackends are the replicated and staging backends in both memory
-// domains (tile-local and cluster scratch), plus the adaptive router that
-// delegates to them.
-var goldenBackends = []string{"dsm", "cdsm", "spm", "cspm", "adaptive"}
+// goldenBackends are the paper's uncached and software-coherent backends
+// (eager and lazy), the replicated and staging backends in both memory domains (tile-local
+// and cluster scratch), and the adaptive router that delegates to them.
+var goldenBackends = []string{"nocc", "swcc", "swcc-lazy", "dsm", "cdsm", "spm", "cspm", "adaptive"}
 
 // goldenShapes are the flat paper platform and a clustered one.
 var goldenShapes = []struct {
@@ -53,9 +53,14 @@ func goldenLine(t *testing.T, app string, backend string, tiles int, topo string
 	if err != nil {
 		t.Fatalf("%s on %s (%d tiles %q): %v", app, backend, tiles, topo, err)
 	}
-	return fmt.Sprintf("cycles=%d checksum=%#08x flithops=%d local=%d global=%d msgs=%d bytes=%d total=%s",
+	line := fmt.Sprintf("cycles=%d checksum=%#08x flithops=%d local=%d global=%d msgs=%d bytes=%d total=%s",
 		res.Cycles, res.Checksum, res.FlitHops, res.LocalFlitHops, res.GlobalFlitHops,
 		res.NoCMessages, res.NoCBytes, statsString(res.Total))
+	if s := res.Service; s != nil {
+		line += fmt.Sprintf(" service=offered:%d completed:%d p50:%d p99:%d hist:%#08x",
+			s.Offered, s.Completed, s.Latency.Quantile(0.50), s.Latency.Quantile(0.99), s.Latency.Fingerprint())
+	}
+	return line
 }
 
 func statsString(s soc.TileStats) string {
@@ -64,10 +69,10 @@ func statsString(s soc.TileStats) string {
 		s.Instrs, s.FlushInstrs, s.SharedReads, s.SharedWrites, s.PrivReads, s.PrivWrites)
 }
 
-// TestDomainBackendsGolden pins every exact metric of the replicated and
-// staging backends in both memory domains across every workload, on a flat
-// and a clustered platform: makespan, checksum, NoC traffic and the full
-// summed tile counters. Any change in how a backend places, moves or
+// TestDomainBackendsGolden pins every exact metric of every backend
+// across every workload, on a flat and a clustered platform: makespan,
+// checksum, NoC traffic, the full summed tile counters and, for service
+// workloads, the offered and completed requests and the latency tail. Any change in how a backend places, moves or
 // charges its copies shows up here as a differing line.
 func TestDomainBackendsGolden(t *testing.T) {
 	var got []string
