@@ -37,7 +37,6 @@ type options struct {
 	all, list                                      bool
 	tiles, clusters, parallel                      int
 	load                                           float64
-	qkind                                          pmc.EventQueueKind
 	placement                                      map[string]string
 }
 
@@ -57,7 +56,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.Float64Var(&o.load, "load", 0, "with -run: offered load in requests per kilocycle for the open-loop service workloads (0 = workload default)")
 	fs.StringVar(&o.traceOut, "trace", "", "with -run: write a Chrome-trace JSON of the run to this file")
 	fs.IntVar(&o.clusters, "clusters", 0, "with -run or -sweep: cluster count (0 = derived from the topology, 1 = flat)")
-	queue := fs.String("queue", "wheel", `with -run or -sweep: event-queue implementation, "wheel" or "heap" (results identical)`)
 
 	fs.StringVar(&o.sweepApps, "sweep", "", `comma-separated workloads to sweep ("splash" = radiosity,raytrace,volrend; "all" = every workload)`)
 	fs.StringVar(&o.backends, "backends", "nocc,swcc,dsm,spm", "with -sweep: comma-separated backend axis")
@@ -67,7 +65,8 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.StringVar(&o.jsonOut, "json", "", `with -sweep: write the JSON result table to this file ("-" = stdout)`)
 	fs.StringVar(&o.csvOut, "csv", "", `with -sweep: write the CSV result table to this file ("-" = stdout)`)
 	if err := fs.Parse(args); err != nil {
-		return nil, err
+		// An unknown or unparseable flag is a usage error too.
+		return nil, cli.UsageError{Err: err}
 	}
 
 	scaleSet := false
@@ -89,9 +88,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 		return nil, err
 	}
 	var err error
-	if o.qkind, err = pmc.ParseEventQueue(*queue); err != nil {
-		return nil, usagef(`bad -queue %q (valid: wheel, heap)`, *queue)
-	}
 	if o.placement, err = parsePlacement(*place); err != nil {
 		return nil, err
 	}
@@ -115,12 +111,12 @@ func main() {
 		}
 		return
 	case o.sweepApps != "":
-		if err := runSweep(o.sweepApps, o.backends, o.tileList, o.topo, o.scale, o.clusters, o.qkind, o.parallel, o.jsonOut, o.csvOut); err != nil {
+		if err := runSweep(o.sweepApps, o.backends, o.tileList, o.topo, o.scale, o.clusters, o.parallel, o.jsonOut, o.csvOut); err != nil {
 			fail(err)
 		}
 		return
 	case o.runApp != "":
-		if err := runWorkload(o.runApp, o.backend, o.tiles, o.topo, o.clusters, o.qkind, o.load, o.traceOut, o.placement); err != nil {
+		if err := runWorkload(o.runApp, o.backend, o.tiles, o.topo, o.clusters, o.load, o.traceOut, o.placement); err != nil {
 			fail(err)
 		}
 		return
@@ -180,7 +176,7 @@ func knownExperiment(id string) bool {
 
 // runSweep expands the flag grid into a SweepSpec, runs it, and emits the
 // requested tables.
-func runSweep(apps, backends, tileList, topo, scale string, clusters int, qkind pmc.EventQueueKind, parallel int, jsonOut, csvOut string) error {
+func runSweep(apps, backends, tileList, topo, scale string, clusters int, parallel int, jsonOut, csvOut string) error {
 	small := scale == "small"
 
 	switch apps {
@@ -233,7 +229,6 @@ func runSweep(apps, backends, tileList, topo, scale string, clusters int, qkind 
 	}
 	base := pmc.DefaultConfig()
 	base.Clusters = clusters
-	base.EventQueue = qkind
 	for _, t := range spec.Tiles {
 		if need := pmc.MinSDRAMBytes(t); need > base.SDRAMBytes {
 			base.SDRAMBytes = need
@@ -329,7 +324,7 @@ func parsePlacement(s string) (map[string]string, error) {
 	return place, nil
 }
 
-func runWorkload(name, backend string, tiles int, topo string, clusters int, qkind pmc.EventQueueKind, load float64, traceOut string, place map[string]string) error {
+func runWorkload(name, backend string, tiles int, topo string, clusters int, load float64, traceOut string, place map[string]string) error {
 	app, ok := pmc.AppByName(name)
 	if !ok {
 		return usagef("unknown workload %q (have %s)", name, strings.Join(pmc.AppNames(), ", "))
@@ -355,7 +350,6 @@ func runWorkload(name, backend string, tiles int, topo string, clusters int, qki
 	}
 	cfg.NoC.Topology = tp
 	cfg.Clusters = clusters
-	cfg.EventQueue = qkind
 	if need := pmc.MinSDRAMBytes(cfg.Tiles); need > cfg.SDRAMBytes {
 		cfg.SDRAMBytes = need
 	}

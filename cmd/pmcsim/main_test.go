@@ -25,7 +25,7 @@ func TestParseFlags(t *testing.T) {
 		{name: "experiment small", args: []string{"-exp", "fig8", "-scale", "small", "-tiles", "8"}},
 		{name: "all full", args: []string{"-all", "-scale", "full", "-parallel", "1"}},
 		{name: "run", args: []string{"-run", "radiosity", "-backend", "nocc", "-tiles", "32"}},
-		{name: "run clustered", args: []string{"-run", "radiosity", "-backend", "cdsm", "-tiles", "64", "-topo", "cluster:8xring", "-queue", "heap"}},
+		{name: "run clustered", args: []string{"-run", "radiosity", "-backend", "cdsm", "-tiles", "64", "-topo", "cluster:8xring"}},
 		{name: "run placed", args: []string{"-run", "stencil", "-backend", "nocc", "-tiles", "8", "-place", "seg*=dsm,stencil-bar-sense=dsm"}},
 		{name: "run loaded", args: []string{"-run", "server", "-backend", "dsm", "-tiles", "8", "-load", "16"}},
 		{name: "run traced", args: []string{"-run", "radiosity", "-trace", "out.json"}},
@@ -43,7 +43,7 @@ func TestParseFlags(t *testing.T) {
 		{name: "negative clusters", args: []string{"-clusters", "-1"}, contains: "-clusters must be non-negative"},
 		{name: "too many clusters", args: []string{"-clusters", "100000"}, contains: "exceeds the address map"},
 		{name: "uneven clusters", args: []string{"-clusters", "3", "-tiles", "16"}, contains: "does not divide evenly into 3 clusters"},
-		{name: "bad queue", args: []string{"-queue", "fifo"}, contains: `bad -queue "fifo"`},
+		{name: "bad queue", args: []string{"-queue", "wheel"}, contains: "flag provided but not defined: -queue"},
 		{name: "place without backend", args: []string{"-place", "seg"}, contains: `bad -place entry "seg"`},
 		{name: "place unknown backend", args: []string{"-place", "seg=bogus"}, contains: `unknown backend "bogus"`},
 		{name: "place duplicate", args: []string{"-place", "a=dsm,a=spm"}, contains: `duplicate -place entry for "a"`},

@@ -90,8 +90,8 @@ func TestSweepClustersSmall(t *testing.T) {
 
 // TestSweepServicesSmall: the open-loop service grid completes at CI size.
 // The experiment itself asserts full-request completion, cross-cell checksum
-// portability, and byte-identical emission across worker counts and event
-// queues — any violation surfaces here as an experiment error. The report
+// portability, and byte-identical emission across worker counts — any
+// violation surfaces here as an experiment error. The report
 // must carry the latency tables for all three scenarios on both shapes.
 func TestSweepServicesSmall(t *testing.T) {
 	out := small(t, "sweep-services")

@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"pmc/internal/noc"
-	"pmc/internal/sim"
 	"pmc/internal/soc"
 	"pmc/internal/sweep"
 	"pmc/internal/workloads"
@@ -136,26 +135,22 @@ func runSweepServices(w io.Writer, o Options) error {
 
 	// Determinism of the measurement layer itself: the serialized table —
 	// including the latency-derived columns — must be byte-identical when
-	// the sweep runs sequentially, on a full worker pool, and on the
-	// binary-heap event queue instead of the timing wheel.
-	detSpec := func(workers int, q sim.QueueKind) sweep.Spec {
+	// the sweep runs sequentially and on a full worker pool.
+	detSpec := func(workers int) sweep.Spec {
 		s := serviceSpec(o, svcShapes[0], topos[0], loads[0])
 		s.Workers = workers
-		s.Configure = func(_ sweep.Cell, cfg *soc.Config) { cfg.EventQueue = q }
 		return s
 	}
 	variants := []struct {
 		name    string
 		workers int
-		queue   sim.QueueKind
 	}{
-		{"1 worker / wheel", 1, sim.QueueWheel},
-		{"N workers / wheel", 0, sim.QueueWheel},
-		{"1 worker / heap", 1, sim.QueueHeap},
+		{"1 worker", 1},
+		{"N workers", 0},
 	}
 	var ref bytes.Buffer
 	for i, v := range variants {
-		table, err := sweep.Run(detSpec(v.workers, v.queue))
+		table, err := sweep.Run(detSpec(v.workers))
 		if err != nil {
 			return err
 		}
@@ -175,7 +170,7 @@ func runSweepServices(w io.Writer, o Options) error {
 		fmt.Fprintf(w, " %dt/%s", sh.tiles, sh.topo)
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "latency table emitted byte-identically across %d worker-count/event-queue variants\n", len(variants))
+	fmt.Fprintf(w, "latency table emitted byte-identically across %d worker-count variants\n", len(variants))
 
 	for _, app := range serviceApps {
 		first := tables[0][0].Rows

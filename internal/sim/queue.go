@@ -1,79 +1,9 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/bits"
 )
-
-// QueueKind selects the kernel's pending-event queue implementation. Both
-// implementations dispatch events in exactly the same (time, seq) order, so
-// a simulation's results are identical under either; the wheel is the
-// default because its push/pop cost stays O(1)-ish as the event population
-// grows with the tile count, where the binary heap's log n comparisons
-// became the kernel bottleneck at 1024 processes.
-type QueueKind uint8
-
-const (
-	// QueueWheel is the hierarchical timing wheel (the default).
-	QueueWheel QueueKind = iota
-	// QueueHeap is the binary-heap reference implementation, kept
-	// selectable for differential testing and as the readable
-	// specification of the dispatch order.
-	QueueHeap
-)
-
-// String names the queue kind.
-func (q QueueKind) String() string {
-	if q == QueueHeap {
-		return "heap"
-	}
-	return "wheel"
-}
-
-// ParseQueue converts a queue name ("wheel" or "heap") to a QueueKind.
-func ParseQueue(s string) (QueueKind, error) {
-	switch s {
-	case "wheel":
-		return QueueWheel, nil
-	case "heap":
-		return QueueHeap, nil
-	}
-	return 0, fmt.Errorf("sim: unknown event queue %q (valid: wheel, heap)", s)
-}
-
-// eventQueue is the kernel's pending-event store. Implementations must pop
-// events in (at, seq) order; push is only ever called with at >= the last
-// popped event's time (the kernel never schedules in the past).
-type eventQueue interface {
-	push(e *event)
-	pop() *event // nil when empty
-	// nextAt returns the earliest pending time without dequeuing.
-	nextAt() (Time, bool)
-	len() int
-}
-
-// heapQueue is the reference implementation: a plain binary heap ordered by
-// (at, seq).
-type heapQueue struct{ h eventHeap }
-
-func (q *heapQueue) push(e *event) { heap.Push(&q.h, e) }
-
-func (q *heapQueue) pop() *event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return heap.Pop(&q.h).(*event)
-}
-
-func (q *heapQueue) nextAt() (Time, bool) {
-	if len(q.h) == 0 {
-		return 0, false
-	}
-	return q.h[0].at, true
-}
-
-func (q *heapQueue) len() int { return len(q.h) }
 
 // Timing-wheel geometry: wheelLevels levels of wheelSlots slots. A level-0
 // slot covers exactly one cycle; a level-l slot covers wheelSlots^l cycles.
@@ -88,10 +18,17 @@ const (
 	wheelLevels = 8
 )
 
-// wheelQueue is a hierarchical timing wheel. An event at time t is filed at
-// the lowest level whose current window contains t — concretely, the lowest
-// l where t and curr share the prefix above bit 6·(l+1) — in the slot
-// indexed by bits [6·l, 6·(l+1)) of t. Prefix placement (rather than
+// wheelQueue is the kernel's pending-event queue, a hierarchical timing
+// wheel: its push/pop cost stays near O(1) as the event population grows
+// with the tile count, where a binary heap's log n comparisons became the
+// kernel bottleneck at 1024 processes. It pops events in exactly (at, seq)
+// order, which queue_test.go checks against a reference binary heap. Push
+// is only ever called with at >= the last popped event's time (the kernel
+// never schedules in the past).
+//
+// An event at time t is filed at the lowest level whose current window
+// contains t — concretely, the lowest l where t and curr share the prefix
+// above bit 6·(l+1) — in the slot indexed by bits [6·l, 6·(l+1)) of t. Prefix placement (rather than
 // delta-from-now placement) is what preserves the (time, seq) dispatch
 // order: a slot's events are redistributed to lower levels exactly when
 // curr advances into the slot's window, which is before any later push can

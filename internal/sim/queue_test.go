@@ -1,94 +1,211 @@
 package sim
 
 import (
+	"container/heap"
 	"fmt"
 	"testing"
+	"testing/quick"
 )
 
-// TestQueueKindStrings pins the names ParseQueue accepts.
-func TestQueueKindStrings(t *testing.T) {
-	for _, tc := range []struct {
-		s    string
-		kind QueueKind
-	}{{"wheel", QueueWheel}, {"heap", QueueHeap}} {
-		got, err := ParseQueue(tc.s)
-		if err != nil || got != tc.kind {
-			t.Errorf("ParseQueue(%q) = %v, %v", tc.s, got, err)
-		}
-		if tc.kind.String() != tc.s {
-			t.Errorf("%v.String() = %q, want %q", tc.kind, tc.kind.String(), tc.s)
-		}
+// heapQueue is the reference event queue: a plain binary heap ordered by
+// (at, seq), the readable specification of the kernel's dispatch order.
+type heapQueue struct{ h eventHeap }
+
+type eventHeap []*event
+
+func (h eventHeap) Len() int { return len(h) }
+func (h eventHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
 	}
-	if _, err := ParseQueue("fifo"); err == nil {
-		t.Error("ParseQueue accepted an unknown kind")
+	return h[i].seq < h[j].seq
+}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
+func (h *eventHeap) Pop() any {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	old[n-1] = nil
+	*h = old[:n-1]
+	return e
+}
+
+func (q *heapQueue) push(e *event) { heap.Push(&q.h, e) }
+
+func (q *heapQueue) pop() *event {
+	if len(q.h) == 0 {
+		return nil
+	}
+	return heap.Pop(&q.h).(*event)
+}
+
+func (q *heapQueue) nextAt() (Time, bool) {
+	if len(q.h) == 0 {
+		return 0, false
+	}
+	return q.h[0].at, true
+}
+
+func (q *heapQueue) len() int { return len(q.h) }
+
+// lockstep feeds the timing wheel and the reference heap the same pushes
+// and checks that every peek and pop agrees on (at, seq).
+type lockstep struct {
+	t    testing.TB
+	w    wheelQueue
+	h    heapQueue
+	seq  uint64
+	now  Time
+	pops int
+}
+
+func (l *lockstep) push(at Time) {
+	l.seq++
+	l.w.push(&event{at: at, seq: l.seq})
+	l.h.push(&event{at: at, seq: l.seq})
+}
+
+// pop dequeues from both queues and returns false once they are empty.
+func (l *lockstep) pop() bool {
+	l.t.Helper()
+	wat, wok := l.w.nextAt()
+	hat, hok := l.h.nextAt()
+	if wat != hat || wok != hok || l.w.len() != l.h.len() {
+		l.t.Fatalf("pop %d: wheel peeks (%d, %v) of %d, heap (%d, %v) of %d",
+			l.pops, wat, wok, l.w.len(), hat, hok, l.h.len())
+	}
+	w, h := l.w.pop(), l.h.pop()
+	if w == nil || h == nil {
+		if w != h {
+			l.t.Fatalf("pop %d: wheel %v, heap %v", l.pops, w, h)
+		}
+		return false
+	}
+	if w.at != h.at || w.seq != h.seq {
+		l.t.Fatalf("pop %d: wheel (%d, seq %d), heap (%d, seq %d)", l.pops, w.at, w.seq, h.at, h.seq)
+	}
+	l.now = w.at
+	l.pops++
+	return true
+}
+
+// xorshift is the storms' deterministic pseudo-random source.
+type xorshift uint32
+
+func (r *xorshift) next(n uint32) uint32 {
+	*r ^= *r << 13
+	*r ^= *r >> 17
+	*r ^= *r << 5
+	return uint32(*r) % n
+}
+
+// stormDelay draws a delay from a mix of same-cycle events, short hops
+// within a level-0 window, and long jumps that cross wheel-level
+// boundaries.
+func stormDelay(rng *xorshift) Time {
+	switch rng.next(5) {
+	case 0:
+		return 0 // same cycle
+	case 1:
+		return Time(rng.next(8)) // same level-0 window, mostly
+	case 2:
+		return Time(rng.next(1 << 10)) // crosses level 0→1
+	case 3:
+		return Time(rng.next(1 << 20)) // crosses level 1→2
+	default:
+		return Time(rng.next(1 << 28)) // deep levels
 	}
 }
 
-// storm drives a kernel through a deterministic pseudo-random event storm —
-// nested schedules, long jumps that cross wheel-level boundaries, clustered
-// same-cycle events — and records the dispatch order as "time:id" strings.
-func storm(kind QueueKind) []string {
-	k := NewWithQueue(kind)
-	var order []string
-	rng := uint32(0x1234567)
-	next := func(n uint32) uint32 {
-		rng ^= rng << 13
-		rng ^= rng >> 17
-		rng ^= rng << 5
-		return rng % n
+// TestWheelMatchesHeapOrder is the queue-level differential test: through
+// a deterministic event storm — each dispatched event schedules up to four
+// more at pseudo-random delays — the timing wheel must pop exactly the
+// heap's (time, seq) order.
+func TestWheelMatchesHeapOrder(t *testing.T) {
+	l := &lockstep{t: t}
+	rng := xorshift(0x1234567)
+	for range 4 {
+		l.push(stormDelay(&rng))
 	}
+	for l.pop() {
+		if l.seq < 4000 {
+			for n := rng.next(4) + 1; n > 0; n-- {
+				l.push(l.now + stormDelay(&rng))
+			}
+		}
+	}
+	if l.pops < 4000 {
+		t.Fatalf("storm too small to be meaningful: %d events", l.pops)
+	}
+}
+
+// Property: any interleaving of pushes (at or after the last popped time,
+// including far beyond the wheel's 48-bit horizon) and pops leaves the
+// wheel popping the heap's order.
+func TestWheelMatchesHeapProperty(t *testing.T) {
+	prop := func(script []uint32) bool {
+		l := &lockstep{t: t}
+		for _, x := range script {
+			switch x % 4 {
+			case 0:
+				l.pop()
+			case 1:
+				l.push(l.now + Time(x>>2)%64)
+			case 2:
+				l.push(l.now + Time(x>>2))
+			default:
+				// Coarse far times collide, so the overflow list
+				// must keep equal times in seq order.
+				l.push(l.now + Time(x>>30+1)<<48)
+			}
+		}
+		for l.pop() {
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestKernelDispatchOrder runs an event storm through the kernel itself
+// and checks that it dispatches in strictly increasing (time, scheduling
+// order).
+func TestKernelDispatchOrder(t *testing.T) {
+	k := New()
+	type stamp struct {
+		at Time
+		id int
+	}
+	var order []stamp
+	rng := xorshift(0x1234567)
 	id := 0
-	var schedule func(depth int)
-	schedule = func(depth int) {
-		n := int(next(4)) + 1
-		for i := 0; i < n; i++ {
+	var schedule func()
+	schedule = func() {
+		for n := rng.next(4) + 1; n > 0; n-- {
 			id++
 			myID := id
-			var delay Time
-			switch next(5) {
-			case 0:
-				delay = 0 // same cycle
-			case 1:
-				delay = Time(next(8)) // same level-0 window, mostly
-			case 2:
-				delay = Time(next(1 << 10)) // crosses level 0→1
-			case 3:
-				delay = Time(next(1 << 20)) // crosses level 1→2
-			default:
-				delay = Time(next(1 << 28)) // deep levels
-			}
-			d := depth
-			k.Schedule(delay, func() {
-				order = append(order, fmt.Sprintf("%d:%d", k.Now(), myID))
+			k.Schedule(stormDelay(&rng), func() {
+				order = append(order, stamp{k.Now(), myID})
 				if id < 4000 {
-					schedule(d + 1)
+					schedule()
 				}
 			})
 		}
 	}
-	schedule(0)
+	schedule()
 	if err := k.Run(); err != nil {
-		panic(err)
+		t.Fatal(err)
 	}
-	return order
-}
-
-// TestWheelMatchesHeapOrder is the kernel-level differential test: the
-// timing wheel must dispatch a complex event storm in exactly the heap's
-// (time, seq) order.
-func TestWheelMatchesHeapOrder(t *testing.T) {
-	want := storm(QueueHeap)
-	got := storm(QueueWheel)
-	if len(got) != len(want) {
-		t.Fatalf("wheel dispatched %d events, heap %d", len(got), len(want))
+	if len(order) < 4000 {
+		t.Fatalf("storm too small to be meaningful: %d events", len(order))
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("dispatch order diverges at event %d: wheel %s, heap %s", i, got[i], want[i])
+	for i := 1; i < len(order); i++ {
+		a, b := order[i-1], order[i]
+		if a.at > b.at || (a.at == b.at && a.id > b.id) {
+			t.Fatalf("event %d dispatched (%d, id %d) after (%d, id %d)", i, b.at, b.id, a.at, a.id)
 		}
-	}
-	if len(want) < 1000 {
-		t.Fatalf("storm too small to be meaningful: %d events", len(want))
 	}
 }
 
@@ -96,7 +213,7 @@ func TestWheelMatchesHeapOrder(t *testing.T) {
 // scheduling order, including events filed into an already-cascaded slot
 // and events scheduled from within that cycle.
 func TestWheelSameTimestampOrder(t *testing.T) {
-	k := NewWithQueue(QueueWheel)
+	k := New()
 	var order []int
 	at := Time(1000)
 	for i := 0; i < 10; i++ {
@@ -132,26 +249,23 @@ func TestWheelSameTimestampOrder(t *testing.T) {
 }
 
 // TestWheelMaxTime: the watchdog must fire on the first event strictly past
-// MaxTime, and events exactly at MaxTime must still run — same boundary the
-// heap kernel has always had.
+// MaxTime, and events exactly at MaxTime must still run.
 func TestWheelMaxTime(t *testing.T) {
-	for _, kind := range []QueueKind{QueueWheel, QueueHeap} {
-		k := NewWithQueue(kind)
-		k.MaxTime = 100
-		ran := 0
-		k.ScheduleAt(100, func() { ran++ })
-		if err := k.Run(); err != nil {
-			t.Fatalf("%v: event at MaxTime aborted: %v", kind, err)
-		}
-		if ran != 1 {
-			t.Fatalf("%v: event at MaxTime did not run", kind)
-		}
-		k2 := NewWithQueue(kind)
-		k2.MaxTime = 100
-		k2.ScheduleAt(101, func() { t.Fatalf("%v: event past MaxTime ran", kind) })
-		if err := k2.Run(); err == nil {
-			t.Fatalf("%v: watchdog did not fire past MaxTime", kind)
-		}
+	k := New()
+	k.MaxTime = 100
+	ran := 0
+	k.ScheduleAt(100, func() { ran++ })
+	if err := k.Run(); err != nil {
+		t.Fatalf("event at MaxTime aborted: %v", err)
+	}
+	if ran != 1 {
+		t.Fatal("event at MaxTime did not run")
+	}
+	k2 := New()
+	k2.MaxTime = 100
+	k2.ScheduleAt(101, func() { t.Fatal("event past MaxTime ran") })
+	if err := k2.Run(); err == nil {
+		t.Fatal("watchdog did not fire past MaxTime")
 	}
 }
 
@@ -159,7 +273,7 @@ func TestWheelMaxTime(t *testing.T) {
 // one cycle further aborts. Exercises the WaitUntil fast path against the
 // wheel's nextAt.
 func TestWheelMaxTimeFastPath(t *testing.T) {
-	k := NewWithQueue(QueueWheel)
+	k := New()
 	k.MaxTime = 500
 	k.Spawn("sleeper", func(p *Proc) { p.Wait(500) })
 	if err := k.Run(); err != nil {
@@ -168,7 +282,7 @@ func TestWheelMaxTimeFastPath(t *testing.T) {
 	if k.Now() != 500 {
 		t.Fatalf("now = %d, want 500", k.Now())
 	}
-	k2 := NewWithQueue(QueueWheel)
+	k2 := New()
 	k2.MaxTime = 500
 	k2.Spawn("sleeper", func(p *Proc) { p.Wait(501) })
 	if err := k2.Run(); err == nil {
@@ -179,7 +293,7 @@ func TestWheelMaxTimeFastPath(t *testing.T) {
 // TestWheelOverflowHorizon: events beyond the wheel's 48-bit window must
 // survive in the overflow list and come back in correct order.
 func TestWheelOverflowHorizon(t *testing.T) {
-	k := NewWithQueue(QueueWheel)
+	k := New()
 	var order []Time
 	far := Time(1) << 50
 	times := []Time{far + 3, 10, far, far + 3, 1 << 49, 2}
@@ -202,7 +316,7 @@ func TestWheelOverflowHorizon(t *testing.T) {
 // process waits far ahead (peeking the queue on the way), then an event
 // scheduled back near the present must still be dispatched.
 func TestWheelPeekDoesNotLoseEvents(t *testing.T) {
-	k := NewWithQueue(QueueWheel)
+	k := New()
 	hit := false
 	k.Spawn("waiter", func(p *Proc) {
 		p.Wait(1 << 20) // fast path peeks nextAt
@@ -217,29 +331,36 @@ func TestWheelPeekDoesNotLoseEvents(t *testing.T) {
 	}
 }
 
+// BenchmarkQueuePushPop measures one pop plus one push at a steady event
+// population, for the wheel and the reference heap.
 func BenchmarkQueuePushPop(b *testing.B) {
-	for _, kind := range []QueueKind{QueueHeap, QueueWheel} {
-		for _, population := range []int{32, 1024} {
-			b.Run(fmt.Sprintf("%v/%d", kind, population), func(b *testing.B) {
-				k := NewWithQueue(kind)
-				nop := func() {}
-				for i := 0; i < population; i++ {
-					k.qpush(&event{at: Time(i * 7), seq: k.seq, fn: nop})
-					k.seq++
-				}
-				rng := uint32(1)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					e := k.qpop()
-					rng ^= rng << 13
-					rng ^= rng >> 17
-					rng ^= rng << 5
-					e.at += Time(rng % 1024)
-					k.seq++
-					e.seq = k.seq
-					k.qpush(e)
-				}
-			})
-		}
+	for _, population := range []int{32, 1024} {
+		b.Run(fmt.Sprintf("heap/%d", population), func(b *testing.B) {
+			benchPushPop(b, &heapQueue{}, population)
+		})
+		b.Run(fmt.Sprintf("wheel/%d", population), func(b *testing.B) {
+			benchPushPop(b, &wheelQueue{}, population)
+		})
+	}
+}
+
+func benchPushPop[Q interface {
+	push(*event)
+	pop() *event
+}](b *testing.B, q Q, population int) {
+	nop := func() {}
+	var seq uint64
+	for i := 0; i < population; i++ {
+		seq++
+		q.push(&event{at: Time(i * 7), seq: seq, fn: nop})
+	}
+	rng := xorshift(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := q.pop()
+		e.at += Time(rng.next(1024))
+		seq++
+		e.seq = seq
+		q.push(e)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // and busy cycles per fixed-width window of simulated time. Like Hist it
 // is order-independent (Record only increments integer cells addressed
 // by simulated time) and merges element-wise, so it carries the same
-// determinism guarantee across worker counts and event-queue kinds.
+// determinism guarantee across worker counts.
 type Series struct {
 	// Interval is the window width in cycles. Fixed at construction;
 	// merging series with different intervals is a programming error.
@@ -87,7 +87,7 @@ func (s *Series) Utilization(i, cores int) float64 {
 // was offered, what completed, the exact latency distribution, and the
 // per-interval series. Every field is integer-deterministic, so two runs
 // of the same configuration produce byte-identical Services regardless
-// of sweep worker count or event-queue kind.
+// of sweep worker count.
 type Service struct {
 	// Offered is the number of requests in the arrival schedule.
 	Offered uint64

@@ -32,8 +32,8 @@ type CanonicalSpec struct {
 	Tiles    []int    `json:"tiles"`
 	Topos    []string `json:"topos"`
 	// Base is the full system-configuration template (defaults expanded),
-	// included because any knob on it — cache sizes, SDRAM timing, event
-	// queue — can change the measured cycles.
+	// included because any knob on it — cache sizes, SDRAM timing, NoC
+	// latencies — can change the measured cycles.
 	Base soc.Config `json:"base"`
 }
 

@@ -15,8 +15,8 @@ import (
 // times): requests keep arriving at the offered load even when the
 // platform falls behind, which is what makes tail latency meaningful.
 // The schedule is computed in Setup, outside simulated time, and is a
-// pure function of (seed, count, load) — identical for every backend,
-// worker count, and event-queue kind.
+// pure function of (seed, count, load) — identical for every backend and
+// worker count.
 
 // expQ16 tabulates -ln((i+0.5)/4096) in Q16 fixed point: the inverse-CDF
 // quantiles of the exponential distribution at 4096 levels. Sampling

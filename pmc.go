@@ -289,16 +289,6 @@ type (
 	TileStats = soc.TileStats
 	// Time is simulated cycles.
 	Time = sim.Time
-	// EventQueueKind selects the simulation kernel's pending-event
-	// queue (Config.EventQueue): the hierarchical timing wheel or the
-	// reference binary heap. Results are identical either way.
-	EventQueueKind = sim.QueueKind
-)
-
-// Event-queue implementations for Config.EventQueue.
-const (
-	QueueWheel = sim.QueueWheel
-	QueueHeap  = sim.QueueHeap
 )
 
 // MaxClusters is the largest cluster count the address map supports.
@@ -306,10 +296,6 @@ const MaxClusters = soc.MaxClusters
 
 // DefaultConfig is the paper's 32-tile system.
 func DefaultConfig() Config { return soc.DefaultConfig() }
-
-// ParseEventQueue converts an event-queue name ("wheel" or "heap") to an
-// EventQueueKind.
-func ParseEventQueue(s string) (EventQueueKind, error) { return sim.ParseQueue(s) }
 
 // MinSDRAMBytes returns the smallest Config.SDRAMBytes whose memory map
 // holds the per-tile private heaps of a system with the given tile count;
