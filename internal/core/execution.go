@@ -16,43 +16,53 @@ type Execution struct {
 	// which the execution was created or last cloned (see Clone).
 	floor int
 
-	// Pattern indexes, used to apply Table I incrementally. Keys follow
-	// the paper's patterns: per (proc, loc), per loc, or per proc.
-	readsPL    map[procLoc][]int
-	writesPL   map[procLoc][]int // initial op included for every proc via init list
-	acquiresPL map[procLoc][]int
-	releasesPL map[procLoc][]int
-	releasesL  map[Loc][]int // any process, per location (≺S rule); incl. init
-	readsP     map[ProcID][]int
-	writesP    map[ProcID][]int
-	acquiresP  map[ProcID][]int
-	releasesP  map[ProcID][]int
-	fencesP    map[ProcID][]int  // location-less fences
-	fencesPL   map[procLoc][]int // location-scoped fences (Section IV-D extension)
-	initOf     map[Loc]int
+	// index holds the Table I pattern lists, in issue order, so that Exec
+	// applies the table incrementally; joins says which lists an op is
+	// on. initOf maps each location to its initial op.
+	index  map[patKey][]int
+	initOf []int
 }
 
-type procLoc struct {
+// patKey names one pattern list of the index: the ops of kind k by
+// process p on location v.
+//   - (k, p, v) lists p's ops of kind k on v; for fences, v is the
+//     fence's own scope, so (KFence, p, NoLoc) lists p's plain fences.
+//   - (k, p, NoLoc) for any other kind lists p's ops of kind k across
+//     all locations, the pattern a location-less fence matches.
+//   - (KRelease, InitProc, v) lists the releases of v by any process,
+//     the init op included (⊥ is "equivalent to all processes",
+//     Definition 3): the ≺S rule's pattern.
+type patKey struct {
+	k Kind
 	p ProcID
 	v Loc
 }
 
+// joins returns the pattern lists op is appended to when issued, keys[:n].
+// Exec and Undo both take their lists from here. An init op joins only
+// the ≺S list; eachEarlier matches it as every process's write through
+// initOf.
+func joins(op *Op) (keys [3]patKey, n int) {
+	if op.IsInit {
+		keys[0] = patKey{KRelease, InitProc, op.Loc}
+		return keys, 1
+	}
+	keys[0] = patKey{op.Kind, op.Proc, op.Loc}
+	n = 1
+	if op.Kind != KFence {
+		keys[n] = patKey{op.Kind, op.Proc, NoLoc}
+		n++
+	}
+	if op.Kind == KRelease {
+		keys[n] = patKey{KRelease, InitProc, op.Loc}
+		n++
+	}
+	return keys, n
+}
+
 // NewExecution returns an initialized, empty execution.
 func NewExecution() *Execution {
-	return &Execution{
-		readsPL:    make(map[procLoc][]int),
-		writesPL:   make(map[procLoc][]int),
-		acquiresPL: make(map[procLoc][]int),
-		releasesPL: make(map[procLoc][]int),
-		releasesL:  make(map[Loc][]int),
-		readsP:     make(map[ProcID][]int),
-		writesP:    make(map[ProcID][]int),
-		acquiresP:  make(map[ProcID][]int),
-		releasesP:  make(map[ProcID][]int),
-		fencesP:    make(map[ProcID][]int),
-		fencesPL:   make(map[procLoc][]int),
-		initOf:     make(map[Loc]int),
-	}
+	return &Execution{index: make(map[patKey][]int)}
 }
 
 // Clone returns a copy of the execution that can grow independently — the
@@ -76,30 +86,20 @@ func NewExecution() *Execution {
 func (e *Execution) Clone() *Execution {
 	e.floor = len(e.ops)
 	c := &Execution{
-		floor:      len(e.ops),
-		locNames:   clip(e.locNames),
-		ops:        clip(e.ops),
-		out:        make([][]Edge, len(e.out)),
-		in:         make([][]Edge, len(e.in)),
-		readsPL:    clonePLMap(e.readsPL),
-		writesPL:   clonePLMap(e.writesPL),
-		acquiresPL: clonePLMap(e.acquiresPL),
-		releasesPL: clonePLMap(e.releasesPL),
-		releasesL:  cloneLocMap(e.releasesL),
-		readsP:     cloneProcMap(e.readsP),
-		writesP:    cloneProcMap(e.writesP),
-		acquiresP:  cloneProcMap(e.acquiresP),
-		releasesP:  cloneProcMap(e.releasesP),
-		fencesP:    cloneProcMap(e.fencesP),
-		fencesPL:   clonePLMap(e.fencesPL),
-		initOf:     make(map[Loc]int, len(e.initOf)),
+		floor:    len(e.ops),
+		locNames: clip(e.locNames),
+		ops:      clip(e.ops),
+		out:      make([][]Edge, len(e.out)),
+		in:       make([][]Edge, len(e.in)),
+		index:    make(map[patKey][]int, len(e.index)),
+		initOf:   clip(e.initOf),
 	}
 	for i := range e.out {
 		c.out[i] = clip(e.out[i])
 		c.in[i] = clip(e.in[i])
 	}
-	for k, v := range e.initOf {
-		c.initOf[k] = v
+	for k, ids := range e.index {
+		c.index[k] = clip(ids)
 	}
 	return c
 }
@@ -107,30 +107,6 @@ func (e *Execution) Clone() *Execution {
 // clip returns s with its capacity clipped to its length: a header-only
 // copy whose backing array is shared but can never be appended into.
 func clip[S ~[]E, E any](s S) S { return s[:len(s):len(s)] }
-
-func clonePLMap(m map[procLoc][]int) map[procLoc][]int {
-	c := make(map[procLoc][]int, len(m))
-	for k, v := range m {
-		c[k] = clip(v)
-	}
-	return c
-}
-
-func cloneLocMap(m map[Loc][]int) map[Loc][]int {
-	c := make(map[Loc][]int, len(m))
-	for k, v := range m {
-		c[k] = clip(v)
-	}
-	return c
-}
-
-func cloneProcMap(m map[ProcID][]int) map[ProcID][]int {
-	c := make(map[ProcID][]int, len(m))
-	for k, v := range m {
-		c[k] = clip(v)
-	}
-	return c
-}
 
 // AddLoc introduces a shared location with the given display name and
 // issues its initial operation, which behaves like a write and release by
@@ -150,11 +126,8 @@ func (e *Execution) AddLoc(name string) Loc {
 	e.ops = append(e.ops, op)
 	e.out = append(e.out, nil)
 	e.in = append(e.in, nil)
-	e.initOf[v] = op.ID
-	// The init op participates in the write and release patterns for
-	// every process; record it in the per-location lists consulted with
-	// any-proc scope, and treat per-proc matching specially (matchProc).
-	e.releasesL[v] = append(e.releasesL[v], op.ID)
+	e.initOf = append(e.initOf, op.ID)
+	e.join(op)
 	return v
 }
 
@@ -209,55 +182,23 @@ func (e *Execution) addEdge(from, to int, ord Ord) {
 // locations. A location fence in the history likewise only constrains
 // operations on its own location.
 func (e *Execution) eachEarlier(r Rule, p ProcID, v Loc, f func(int)) {
-	// The fence column/row widens matching to all locations only for
-	// location-less fences.
-	globalFence := (r.Earlier == KFence || r.New == KFence) && v == NoLoc
-	var ids, more []int
-	switch r.Earlier {
-	case KRead:
-		if globalFence {
-			ids = e.readsP[p]
-		} else {
-			ids = e.readsPL[procLoc{p, v}]
-		}
-	case KWrite:
-		if globalFence {
-			ids = e.writesP[p]
-		} else {
-			ids = e.writesPL[procLoc{p, v}]
-			if init, ok := e.initOf[v]; ok && r.New != KFence {
-				// The init write comes first (it matches any proc).
-				f(init)
-			}
-		}
-	case KAcquire:
-		if globalFence {
-			ids = e.acquiresP[p]
-		} else {
-			ids = e.acquiresPL[procLoc{p, v}]
-		}
-	case KRelease:
-		switch {
-		case r.AnyProc:
-			ids = e.releasesL[v] // includes init
-		case globalFence:
-			ids = e.releasesP[p]
-		default:
-			ids = e.releasesPL[procLoc{p, v}]
-		}
-	case KFence:
-		if v == NoLoc {
-			ids = e.fencesP[p]
-		} else {
-			// Both plain fences and same-location fences order
-			// the new operation on v.
-			ids, more = e.fencesP[p], e.fencesPL[procLoc{p, v}]
+	// With v == NoLoc the new op is a plain fence, and (Earlier, p, NoLoc)
+	// is p's Earlier-kind ops across all locations.
+	key := patKey{r.Earlier, p, v}
+	switch {
+	case r.AnyProc:
+		key.p = InitProc
+	case r.Earlier == KWrite && r.New != KFence:
+		// The init write comes first (it matches any proc).
+		f(e.initOf[v])
+	case r.Earlier == KFence && v != NoLoc:
+		// Both plain fences and same-location fences order the new
+		// operation on v, plain fences first.
+		for _, id := range e.index[patKey{KFence, p, NoLoc}] {
+			f(id)
 		}
 	}
-	for _, id := range ids {
-		f(id)
-	}
-	for _, id := range more {
+	for _, id := range e.index[key] {
 		f(id)
 	}
 }
@@ -295,29 +236,16 @@ func (e *Execution) Exec(k Kind, p ProcID, v Loc, val Value, label string) *Op {
 		})
 	}
 
-	// Update the pattern indexes.
-	switch k {
-	case KRead:
-		e.readsPL[procLoc{p, v}] = append(e.readsPL[procLoc{p, v}], op.ID)
-		e.readsP[p] = append(e.readsP[p], op.ID)
-	case KWrite:
-		e.writesPL[procLoc{p, v}] = append(e.writesPL[procLoc{p, v}], op.ID)
-		e.writesP[p] = append(e.writesP[p], op.ID)
-	case KAcquire:
-		e.acquiresPL[procLoc{p, v}] = append(e.acquiresPL[procLoc{p, v}], op.ID)
-		e.acquiresP[p] = append(e.acquiresP[p], op.ID)
-	case KRelease:
-		e.releasesL[v] = append(e.releasesL[v], op.ID)
-		e.releasesP[p] = append(e.releasesP[p], op.ID)
-		e.releasesPL[procLoc{p, v}] = append(e.releasesPL[procLoc{p, v}], op.ID)
-	case KFence:
-		if v == NoLoc {
-			e.fencesP[p] = append(e.fencesP[p], op.ID)
-		} else {
-			e.fencesPL[procLoc{p, v}] = append(e.fencesPL[procLoc{p, v}], op.ID)
-		}
-	}
+	e.join(op)
 	return op
+}
+
+// join appends op to every pattern list it joins.
+func (e *Execution) join(op *Op) {
+	keys, n := joins(op)
+	for _, k := range keys[:n] {
+		e.index[k] = append(e.index[k], op.ID)
+	}
 }
 
 // growSlot appends an empty edge list for a new op. A slot left behind by
@@ -355,34 +283,12 @@ func (e *Execution) Undo() {
 	e.in[n] = e.in[n][:0]
 	e.ops[n] = nil
 	e.ops, e.out, e.in = e.ops[:n], e.out[:n], e.in[:n]
-
-	p, v := op.Proc, op.Loc
-	pl := procLoc{p, v}
-	switch op.Kind {
-	case KRead:
-		e.readsPL[pl] = pop(e.readsPL[pl])
-		e.readsP[p] = pop(e.readsP[p])
-	case KWrite:
-		e.writesPL[pl] = pop(e.writesPL[pl])
-		e.writesP[p] = pop(e.writesP[p])
-	case KAcquire:
-		e.acquiresPL[pl] = pop(e.acquiresPL[pl])
-		e.acquiresP[p] = pop(e.acquiresP[p])
-	case KRelease:
-		e.releasesL[v] = pop(e.releasesL[v])
-		e.releasesP[p] = pop(e.releasesP[p])
-		e.releasesPL[pl] = pop(e.releasesPL[pl])
-	case KFence:
-		if v == NoLoc {
-			e.fencesP[p] = pop(e.fencesP[p])
-		} else {
-			e.fencesPL[pl] = pop(e.fencesPL[pl])
-		}
+	keys, nk := joins(op)
+	for _, k := range keys[:nk] {
+		ids := e.index[k]
+		e.index[k] = ids[:len(ids)-1]
 	}
 }
-
-// pop drops the last element of an index list.
-func pop(s []int) []int { return s[:len(s)-1] }
 
 // Convenience issue helpers.
 
