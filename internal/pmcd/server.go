@@ -136,18 +136,27 @@ type Server struct {
 }
 
 // New assembles a server (opening the result store) and starts its worker
-// pool. Close it to drain.
+// pool. Close it to drain. A zero size takes its default; a negative one
+// is an error naming the field.
 func New(cfg Config) (*Server, error) {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Workers", cfg.Workers}, {"QueueDepth", cfg.QueueDepth}, {"MemEntries", cfg.MemEntries}} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("pmcd: %s must be non-negative, got %d (0 = default)", f.name, f.v)
+		}
+	}
 	store, err := Open(cfg.CacheDir, cfg.MemEntries)
 	if err != nil {
 		return nil, err
 	}
 	workers := cfg.Workers
-	if workers <= 0 {
+	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	depth := cfg.QueueDepth
-	if depth <= 0 {
+	if depth == 0 {
 		depth = 256
 	}
 	cv := cfg.CodeVersion

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -335,5 +336,51 @@ func TestServerCodeVersionInvalidates(t *testing.T) {
 	}
 	if srv2.Stats().Simulations != 1 {
 		t.Fatal("new code version did not re-simulate")
+	}
+}
+
+// TestConfigSizes pins how the constructors treat sizes: zero takes the
+// documented default, a negative value is an error naming the field
+// instead of silently becoming the default.
+func TestConfigSizes(t *testing.T) {
+	tests := []struct {
+		name     string
+		cfg      Config
+		contains string // expected error substring; "" = accepted
+	}{
+		{name: "defaults", cfg: Config{}},
+		{name: "explicit", cfg: Config{Workers: 2, QueueDepth: 8, MemEntries: 4}},
+		{name: "negative workers", cfg: Config{Workers: -4}, contains: "Workers must be non-negative, got -4"},
+		{name: "negative queue", cfg: Config{QueueDepth: -1}, contains: "QueueDepth must be non-negative"},
+		{name: "negative mem", cfg: Config{MemEntries: -7}, contains: "MemEntries must be non-negative"},
+		{name: "all negative", cfg: Config{Workers: -4, QueueDepth: -1, MemEntries: -7}, contains: "Workers"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			s, err := New(tt.cfg)
+			if tt.contains == "" {
+				if err != nil {
+					t.Fatalf("New(%+v) = %v, want accepted", tt.cfg, err)
+				}
+				s.Close()
+				return
+			}
+			if err == nil {
+				s.Close()
+				t.Fatalf("New(%+v) accepted, want an error containing %q", tt.cfg, tt.contains)
+			}
+			if !strings.Contains(err.Error(), tt.contains) {
+				t.Fatalf("New(%+v) = %v, want an error containing %q", tt.cfg, err, tt.contains)
+			}
+		})
+	}
+	for _, tc := range []struct {
+		mem      int
+		contains string
+	}{{0, ""}, {3, ""}, {-7, "memEntries must be non-negative"}} {
+		_, err := Open("", tc.mem)
+		if (err == nil) != (tc.contains == "") || (err != nil && !strings.Contains(err.Error(), tc.contains)) {
+			t.Errorf("Open(\"\", %d) = %v, want error containing %q", tc.mem, err, tc.contains)
+		}
 	}
 }

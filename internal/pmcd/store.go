@@ -50,9 +50,13 @@ type storeEntry struct {
 }
 
 // Open returns a store over dir (created if missing; "" keeps results in
-// memory only) with an LRU tier of memEntries results (0 = 128).
+// memory only) with an LRU tier of memEntries results (0 = 128; negative
+// is an error).
 func Open(dir string, memEntries int) (*Store, error) {
-	if memEntries <= 0 {
+	switch {
+	case memEntries < 0:
+		return nil, fmt.Errorf("pmcd: memEntries must be non-negative, got %d (0 = 128)", memEntries)
+	case memEntries == 0:
 		memEntries = 128
 	}
 	if dir != "" {

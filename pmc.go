@@ -575,7 +575,8 @@ type (
 )
 
 // NewPmcdServer assembles a job service (opening its result store) and
-// starts the worker pool; Close it to drain.
+// starts the worker pool; Close it to drain. Zero sizes in cfg take their
+// defaults; a negative size is an error.
 func NewPmcdServer(cfg PmcdConfig) (*PmcdServer, error) { return pmcd.New(cfg) }
 
 // NewPmcdClient returns a client for the job service at base
@@ -594,7 +595,8 @@ func PmcdFingerprint(spec PmcdJobSpec, codeVersion string) (string, error) {
 }
 
 // OpenPmcdStore opens a result store over dir ("" = memory-only) with an
-// in-memory LRU tier of memEntries results (0 = 128).
+// in-memory LRU tier of memEntries results (0 = 128; negative is an
+// error).
 func OpenPmcdStore(dir string, memEntries int) (*PmcdStore, error) {
 	return pmcd.Open(dir, memEntries)
 }
