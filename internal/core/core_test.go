@@ -328,7 +328,10 @@ func TestExecValidation(t *testing.T) {
 		"read without loc":  func() { e.Exec(KRead, 0, NoLoc, 0, "") },
 		"write without loc": func() { e.Exec(KWrite, 0, NoLoc, 0, "") },
 		"unknown loc":       func() { e.Exec(KRead, 0, Loc(99), 0, "") },
+		"negative loc":      func() { e.Exec(KRead, 0, Loc(-5), 0, "") },
 		"init proc op":      func() { e.Exec(KWrite, InitProc, x, 0, "") },
+		"negative proc":     func() { e.Exec(KWrite, -2, x, 0, "") },
+		"proc out of range": func() { e.Exec(KWrite, maxProc+1, x, 0, "") },
 	} {
 		func() {
 			defer func() {

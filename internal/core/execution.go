@@ -23,8 +23,8 @@ type Execution struct {
 	initOf []int
 }
 
-// patKey names one pattern list of the index: the ops of kind k by
-// process p on location v.
+// patKey names one pattern list of the index, pat(k, p, v): the ops of
+// kind k by process p on location v.
 //   - (k, p, v) lists p's ops of kind k on v; for fences, v is the
 //     fence's own scope, so (KFence, p, NoLoc) lists p's plain fences.
 //   - (k, p, NoLoc) for any other kind lists p's ops of kind k across
@@ -32,10 +32,18 @@ type Execution struct {
 //   - (KRelease, InitProc, v) lists the releases of v by any process,
 //     the init op included (⊥ is "equivalent to all processes",
 //     Definition 3): the ≺S rule's pattern.
-type patKey struct {
-	k Kind
-	p ProcID
-	v Loc
+//
+// The triple is packed into one word (kind in the top 3 bits, p+1 in the
+// next 29, v+1 in the low 32) so that index lookups take the map's fast
+// path for 64-bit keys; a struct key made Exec+Undo about twice as slow.
+// Exec keeps p within maxProc, so the packing is injective.
+type patKey uint64
+
+// maxProc is the largest process ID that may issue operations.
+const maxProc = 1<<28 - 1
+
+func pat(k Kind, p ProcID, v Loc) patKey {
+	return patKey(uint64(k)<<61 | uint64(uint32(p+1))<<32 | uint64(uint32(v+1)))
 }
 
 // joins returns the pattern lists op is appended to when issued, keys[:n].
@@ -44,17 +52,17 @@ type patKey struct {
 // initOf.
 func joins(op *Op) (keys [3]patKey, n int) {
 	if op.IsInit {
-		keys[0] = patKey{KRelease, InitProc, op.Loc}
+		keys[0] = pat(KRelease, InitProc, op.Loc)
 		return keys, 1
 	}
-	keys[0] = patKey{op.Kind, op.Proc, op.Loc}
+	keys[0] = pat(op.Kind, op.Proc, op.Loc)
 	n = 1
 	if op.Kind != KFence {
-		keys[n] = patKey{op.Kind, op.Proc, NoLoc}
+		keys[n] = pat(op.Kind, op.Proc, NoLoc)
 		n++
 	}
 	if op.Kind == KRelease {
-		keys[n] = patKey{KRelease, InitProc, op.Loc}
+		keys[n] = pat(KRelease, InitProc, op.Loc)
 		n++
 	}
 	return keys, n
@@ -184,17 +192,17 @@ func (e *Execution) addEdge(from, to int, ord Ord) {
 func (e *Execution) eachEarlier(r Rule, p ProcID, v Loc, f func(int)) {
 	// With v == NoLoc the new op is a plain fence, and (Earlier, p, NoLoc)
 	// is p's Earlier-kind ops across all locations.
-	key := patKey{r.Earlier, p, v}
+	key := pat(r.Earlier, p, v)
 	switch {
 	case r.AnyProc:
-		key.p = InitProc
+		key = pat(KRelease, InitProc, v)
 	case r.Earlier == KWrite && r.New != KFence:
 		// The init write comes first (it matches any proc).
 		f(e.initOf[v])
 	case r.Earlier == KFence && v != NoLoc:
 		// Both plain fences and same-location fences order the new
 		// operation on v, plain fences first.
-		for _, id := range e.index[patKey{KFence, p, NoLoc}] {
+		for _, id := range e.index[pat(KFence, p, NoLoc)] {
 			f(id)
 		}
 	}
@@ -210,14 +218,14 @@ func (e *Execution) eachEarlier(r Rule, p ProcID, v Loc, f func(int)) {
 func (e *Execution) Exec(k Kind, p ProcID, v Loc, val Value, label string) *Op {
 	// Fences may carry NoLoc (span all locations, the paper's default)
 	// or a location (the Section IV-D scoped-fence extension).
-	if v != NoLoc && int(v) >= len(e.locNames) {
+	if v < NoLoc || int(v) >= len(e.locNames) {
 		panic(fmt.Sprintf("core: op %s on unknown location %d", k, v))
 	}
 	if k != KFence && v == NoLoc {
 		panic(fmt.Sprintf("core: op %s needs a location", k))
 	}
-	if p == InitProc {
-		panic("core: InitProc cannot issue operations")
+	if p < 0 || p > maxProc {
+		panic(fmt.Sprintf("core: process %d cannot issue operations (InitProc is ⊥; others must be in 0..%d)", p, maxProc))
 	}
 	op := &Op{ID: len(e.ops), Kind: k, Proc: p, Loc: v, Val: val, Label: label}
 	e.ops = append(e.ops, op)

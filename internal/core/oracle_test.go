@@ -57,12 +57,12 @@ func ruleMatches(r Rule, q, o *Op) bool {
 // sameEdgeMultiset reports "" when a and b hold the same edges, counted
 // with multiplicity and in any order.
 func sameEdgeMultiset(a, b []Edge) string {
-	byFrom := func(x, y Edge) int {
+	byEdge := func(x, y Edge) int {
 		return cmp.Or(cmp.Compare(x.From, y.From), cmp.Compare(x.To, y.To), cmp.Compare(x.Ord, y.Ord))
 	}
 	a, b = slices.Clone(a), slices.Clone(b)
-	slices.SortFunc(a, byFrom)
-	slices.SortFunc(b, byFrom)
+	slices.SortFunc(a, byEdge)
+	slices.SortFunc(b, byEdge)
 	if !slices.Equal(a, b) {
 		return fmt.Sprintf("%v vs %v", a, b)
 	}
