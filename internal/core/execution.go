@@ -35,7 +35,8 @@ type Execution struct {
 //
 // The triple is packed into one word (kind in the top 3 bits, p+1 in the
 // next 29, v+1 in the low 32) so that index lookups take the map's fast
-// path for 64-bit keys; a struct key made Exec+Undo about twice as slow.
+// path for 64-bit keys (a three-field struct key takes the generic path,
+// which doubled the cost of Exec+Undo).
 // Exec keeps p within maxProc, so the packing is injective.
 type patKey uint64
 
@@ -213,8 +214,9 @@ func (e *Execution) eachEarlier(r Rule, p ProcID, v Loc, f func(int)) {
 
 // Exec issues a new operation and applies the Table I rules, returning it
 // (Definition 4). val is the written value for writes and the returned
-// value for reads; it is ignored for other kinds. Fences must use NoLoc;
-// all other kinds need a valid location.
+// value for reads; it is ignored for other kinds. Fences may use NoLoc;
+// all other kinds need a valid location. p must be a process ID in
+// [0, 2^28).
 func (e *Execution) Exec(k Kind, p ProcID, v Loc, val Value, label string) *Op {
 	// Fences may carry NoLoc (span all locations, the paper's default)
 	// or a location (the Section IV-D scoped-fence extension).
