@@ -63,7 +63,23 @@ type Kernel struct {
 	// watchdog against livelock in modelled software). Zero means no
 	// limit.
 	MaxTime Time
+
+	stats Stats
 }
+
+// Stats are the kernel's dispatch counters: how often simulated time
+// advanced through the event queue, in place, or by a coroutine switch.
+// They are host-cost counters, not model state; a change that keeps every
+// simulated result can still move them.
+type Stats struct {
+	Events  uint64 // events dispatched by Run
+	InPlace uint64 // waits that advanced the clock in place (no event)
+	Slow    uint64 // waits that scheduled a wake event
+	Resumes uint64 // coroutine resumes (two switches each)
+}
+
+// Stats returns the dispatch counters accumulated so far.
+func (k *Kernel) Stats() Stats { return k.stats }
 
 // New returns a ready-to-run kernel.
 func New() *Kernel { return &Kernel{} }
@@ -132,6 +148,7 @@ func (k *Kernel) Run() error {
 			return fmt.Errorf("sim: watchdog: time %d exceeds MaxTime %d", e.at, k.MaxTime)
 		}
 		k.now = e.at
+		k.stats.Events++
 		fn := e.fn
 		e.fn = nil
 		k.free = append(k.free, e)
@@ -171,6 +188,7 @@ func (k *Kernel) blockedNames() string {
 // from the kernel's own goroutine (inside an event). When the process body
 // returns, the coroutine is exhausted and the process is retired.
 func (k *Kernel) resume(p *Proc) {
+	k.stats.Resumes++
 	if _, ok := p.next(); !ok && !p.done {
 		p.done = true
 		k.live--

@@ -413,3 +413,26 @@ func TestProcAccessors(t *testing.T) {
 		t.Fatal("proc not done after Run")
 	}
 }
+
+// TestKernelStats counts each way a wait can advance time: in place when
+// nothing is due first, through a wake event otherwise.
+func TestKernelStats(t *testing.T) {
+	k := New()
+	k.Spawn("a", func(p *Proc) {
+		p.Wait(2) // slow: b's start is pending at 0
+		p.Wait(5) // slow: b's wake at 4 comes first
+		p.Wait(1) // in place: b has finished, nothing is pending
+	})
+	k.Spawn("b", func(p *Proc) {
+		p.Wait(4) // slow: a's wake at 2 comes first
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Two starts and three wakes, each dispatched as an event and each
+	// resuming its coroutine.
+	want := Stats{Events: 5, InPlace: 1, Slow: 3, Resumes: 5}
+	if got := k.Stats(); got != want {
+		t.Fatalf("Stats() = %+v, want %+v", got, want)
+	}
+}

@@ -91,8 +91,10 @@ func (p *Proc) WaitUntil(t Time) {
 	// skipped window, because nothing is scheduled inside it.
 	if !k.stopped && (k.MaxTime == 0 || t <= k.MaxTime) && !k.eventBefore(t) {
 		k.now = t
+		k.stats.InPlace++
 		return
 	}
+	k.stats.Slow++
 	k.ScheduleAt(t, p.resumeFn)
 	p.suspend()
 }

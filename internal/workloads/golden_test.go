@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"pmc/internal/noc"
+	"pmc/internal/sim"
 	"pmc/internal/soc"
 )
 
@@ -106,5 +107,23 @@ func TestDomainBackendsGolden(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("cell %d differs:\n got  %s\n want %s", i, got[i], want[i])
 		}
+	}
+}
+
+// TestKernelCountsGolden pins the kernel's dispatch counters for one small
+// golden cell. They are host-cost counters, so a change may move them
+// while every simulated result stays put; this test makes such a move
+// explicit. The event count, in-place and slow wait counts follow from
+// the simulated schedule alone, so an exact kernel optimisation keeps
+// them and only cuts coroutine resumes.
+func TestKernelCountsGolden(t *testing.T) {
+	a, _ := Scaled("radiosity", true)
+	res, err := Run(a, smallCfg(8), "swcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sim.Stats{Events: 32274, InPlace: 4865, Slow: 30602, Resumes: 31026}
+	if res.Kernel != want {
+		t.Errorf("kernel counters:\n got  %+v\n want %+v", res.Kernel, want)
 	}
 }

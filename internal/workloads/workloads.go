@@ -66,6 +66,9 @@ type Result struct {
 	// Service holds the open-loop service metrics for ServiceApp
 	// workloads; nil for single-shot kernels.
 	Service *stats.Service
+	// Kernel holds the simulation kernel's dispatch counters: the host
+	// cost of the run, not a simulated result.
+	Kernel sim.Stats
 }
 
 // Sample converts the result to the stats package's renderer input.
@@ -242,6 +245,7 @@ func run(app App, cfg soc.Config, backendName string, pre func(*rt.Runtime)) (*R
 
 		LocalFlitHops:  sys.Net.Stats().LocalFlitHops,
 		GlobalFlitHops: sys.Net.Stats().GlobalFlitHops,
+		Kernel:         sys.K.Stats(),
 	}
 	for _, t := range sys.Tiles {
 		res.PerTile = append(res.PerTile, t.Stats)
