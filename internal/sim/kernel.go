@@ -64,7 +64,8 @@ type Kernel struct {
 	// limit.
 	MaxTime Time
 
-	stats Stats
+	stats  Stats
+	onPush func(at Time, seq uint64)
 }
 
 // Stats are the kernel's dispatch counters: how often simulated time
@@ -76,10 +77,17 @@ type Stats struct {
 	InPlace uint64 // waits that advanced the clock in place (no event)
 	Slow    uint64 // waits that scheduled a wake event
 	Resumes uint64 // coroutine resumes (two switches each)
+	Steps   uint64 // WaitSteps steps run inside kernel events
 }
 
 // Stats returns the dispatch counters accumulated so far.
 func (k *Kernel) Stats() Stats { return k.stats }
+
+// OnSchedule calls fn with the time and sequence number of every event
+// scheduled from now on; nil turns it off. Two runs that log the same
+// (at, seq) pushes dispatched the same events in the same order, which is
+// how the lockstep tests check that an optimisation is exact.
+func (k *Kernel) OnSchedule(fn func(at Time, seq uint64)) { k.onPush = fn }
 
 // New returns a ready-to-run kernel.
 func New() *Kernel { return &Kernel{} }
@@ -115,6 +123,9 @@ func (k *Kernel) ScheduleAt(t Time, fn func()) {
 	} else {
 		e = &event{at: t, seq: k.seq, fn: fn}
 	}
+	if k.onPush != nil {
+		k.onPush(t, k.seq)
+	}
 	k.wheel.push(e)
 }
 
@@ -129,6 +140,7 @@ func (k *Kernel) Spawn(name string, body func(*Proc)) *Proc {
 		name: name,
 	}
 	p.resumeFn = func() { k.resume(p) }
+	p.stepFn = p.runSteps
 	k.procs = append(k.procs, p)
 	k.live++
 	k.ScheduleAt(k.now, func() { p.start(body) })

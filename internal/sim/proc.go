@@ -29,8 +29,11 @@ type Proc struct {
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 	// resumeFn is the proc's reusable wake-up event body (one closure per
-	// process instead of one per wait).
+	// process instead of one per wait); stepFn is the wake-up event body
+	// of a WaitSteps continuation, which runs step in the kernel.
 	resumeFn func()
+	stepFn   func()
+	step     func() (Time, bool)
 
 	done   bool
 	parked bool
@@ -78,25 +81,91 @@ func (p *Proc) WaitUntil(t Time) {
 	if p.done {
 		panic("sim: WaitUntil on finished proc")
 	}
+	if !p.wakeAt(t, p.resumeFn) {
+		p.suspend()
+	}
+}
+
+// wakeAt moves p's clock to t. If the kernel can advance in place it
+// does so and reports true; otherwise it schedules wake at t and reports
+// false, and p stays blocked until that event runs.
+func (p *Proc) wakeAt(t Time, wake func()) bool {
 	k := p.k
 	if t < k.now {
-		panic(fmt.Sprintf("sim: proc %q WaitUntil(%d) in the past (now %d)", p.name, t, k.now))
+		panic(fmt.Sprintf("sim: proc %q waits until %d, in the past (now %d)", p.name, t, k.now))
 	}
-	// Fast path: if no other event is due at or before t, the watchdog
-	// cannot fire, and the kernel is not stopping, the token round-trip
-	// through the kernel would deterministically hand control straight
-	// back to this process with now == t — so advance time in place and
-	// skip the two channel handoffs (and their goroutine switches). This
-	// is exact, not approximate: no other goroutine can observe the
-	// skipped window, because nothing is scheduled inside it.
-	if !k.stopped && (k.MaxTime == 0 || t <= k.MaxTime) && !k.eventBefore(t) {
+	if k.canAdvance(t) {
 		k.now = t
 		k.stats.InPlace++
-		return
+		return true
 	}
 	k.stats.Slow++
-	k.ScheduleAt(t, p.resumeFn)
-	p.suspend()
+	k.ScheduleAt(t, wake)
+	return false
+}
+
+// canAdvance reports whether a wait until t may move the clock in place
+// instead of through the event queue: no other event is due at or before
+// t, the watchdog cannot fire, and the kernel is not stopping. A round
+// trip through the queue would then deterministically hand control
+// straight back with now == t, so skipping it is exact, not approximate:
+// nothing can observe the skipped window, because nothing is scheduled
+// inside it.
+func (k *Kernel) canAdvance(t Time) bool {
+	return !k.stopped && (k.MaxTime == 0 || t <= k.MaxTime) && !k.eventBefore(t)
+}
+
+// WaitSteps blocks the process while a timed continuation runs on its
+// behalf. The kernel calls step now, and again at each time it returns,
+// until step reports done; then WaitSteps returns. Between calls the
+// process is blocked exactly as in WaitUntil, and each wake advances in
+// place under the same conditions. A wake that cannot advance in place
+// runs step inside the kernel's own event, without resuming the
+// coroutine: the coroutine comes back only once step is done.
+//
+// The result is exact: WaitSteps(step) makes the same ScheduleAt calls,
+// at the same times and in the same order, as a loop that calls step and
+// then WaitUntil(next) in the process. Between a resume and its next wait
+// a coroutine runs atomically with respect to the kernel, so running the
+// same code inside the wake event instead is indistinguishable. Each call
+// to step must therefore do what the process would have done between two
+// waits, and nothing that needs the coroutine (a wait, a park).
+//
+// step is held until it reports done; pass a func value that outlives
+// the call (a method value bound once) to keep WaitSteps allocation-free.
+// A panic in step propagates out of Kernel.Run.
+func (p *Proc) WaitSteps(step func() (next Time, done bool)) {
+	if p.done {
+		panic("sim: WaitSteps on finished proc")
+	}
+	for {
+		next, done := step()
+		if done {
+			return
+		}
+		if !p.wakeAt(next, p.stepFn) {
+			p.step = step
+			p.suspend()
+			return
+		}
+	}
+}
+
+// runSteps is the wake event of a process blocked in WaitSteps: it runs
+// the step in the kernel and resumes the coroutine once the step is done.
+func (p *Proc) runSteps() {
+	k := p.k
+	for {
+		k.stats.Steps++
+		next, done := p.step()
+		if done {
+			k.resume(p)
+			return
+		}
+		if !p.wakeAt(next, p.stepFn) {
+			return
+		}
+	}
 }
 
 // Park blocks the process indefinitely until another process or event calls

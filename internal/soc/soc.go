@@ -256,6 +256,10 @@ type System struct {
 
 	// centralLockBase is where the centralized lock table lives.
 	centralLockBase mem.Addr
+
+	// lineWaits, when set, replaces the instruction-fetch continuation
+	// with the per-line reference walk; only the lockstep tests set it.
+	lineWaits func(t *Tile, p *sim.Proc, n int)
 }
 
 // New builds a system from cfg.

@@ -78,6 +78,12 @@ type Tile struct {
 	pc         int // byte offset within the current region
 	inCold     bool
 	passesDone int
+
+	// walk runs this tile's instruction fetch; spill holds idle walkers
+	// for a second process that starts a walk while another is mid-walk
+	// on the same tile.
+	walk  fetchWalk
+	spill []*fetchWalk
 }
 
 func newTile(s *System, id int) *Tile {
@@ -88,6 +94,7 @@ func newTile(s *System, id int) *Tile {
 		DC:    cache.New(s.Cfg.DCache, s.SDRAM.RAM),
 		Local: s.Locals[id],
 	}
+	t.walk.bind(t)
 	// Until a workload declares its footprint, fetch from a tiny
 	// per-tile stub that always fits the I-cache.
 	t.SetCodeFootprint(mem.Addr(id)*64, 64)
@@ -139,36 +146,93 @@ func (t *Tile) instrsPerLine() int { return t.Sys.Cfg.ICache.LineSize / 4 }
 // stalls, and advances simulated time for the execute cycles (1 per
 // instruction). It is the single bottleneck through which all "executed
 // instructions" pass.
+//
+// The walk is a kernel continuation (sim.Proc.WaitSteps): a line's wake
+// runs the next step inside the kernel's event instead of resuming the
+// process, so a run of cache lines costs no coroutine switches. Each line
+// still waits on its own: merging a run of hits into one longer wait
+// would give the wake an earlier sequence number and reorder equal-time
+// events.
 func (t *Tile) fetchAndExec(p *sim.Proc, n int) {
 	if n <= 0 {
 		return
 	}
+	if t.Sys.lineWaits != nil {
+		t.Sys.lineWaits(t, p, n)
+		return
+	}
 	t.Stats.Instrs += uint64(n)
-	lineBytes := t.instrsPerLine() * 4
-	remaining := n
-	for remaining > 0 {
-		regionSize := t.hotSize
-		regionOff := 0
-		if t.inCold {
-			regionSize = t.coldSize
-			regionOff = t.hotSize
+	w := &t.walk
+	if w.remaining > 0 {
+		// Another process on this tile is mid-walk: take a spill walker.
+		if k := len(t.spill); k > 0 {
+			w = t.spill[k-1]
+			t.spill = t.spill[:k-1]
+		} else {
+			w = newFetchWalk(t)
 		}
-		lineOff := t.pc % lineBytes
-		inLine := (lineBytes - lineOff) / 4
-		if inLine > remaining {
-			inLine = remaining
-		}
-		lineAddr := t.codeBase + mem.Addr(regionOff+t.pc-lineOff)
-		if res, _ := t.IC.Probe(lineAddr); !res {
-			// Miss: fill from SDRAM.
-			t.Stats.IStall += t.Sys.SDRAM.AccessLine(p, lineAddr)
-			t.IC.Read32(lineAddr) // install the line (data immaterial)
-			t.Sys.SDRAM.LineFills++
-		}
-		p.Wait(sim.Time(inLine))
-		t.Stats.Busy += sim.Time(inLine)
-		t.pc += inLine * 4
-		if t.pc >= regionSize {
+	}
+	w.remaining, w.phase = n, walkProbe
+	p.WaitSteps(w.step)
+	if w != &t.walk {
+		t.spill = append(t.spill, w)
+	}
+}
+
+// fetchWalk is one process's walk of n instructions through the tile's
+// I-cache, run as a step machine: probe a line, on a miss book the SDRAM
+// fill and install the line when it lands, then execute the line's
+// instructions. The tile's code position (pc, inCold, passesDone) and the
+// I-cache are shared by every process on the tile, exactly as they were
+// when the walk was a loop in the process.
+type fetchWalk struct {
+	t    *Tile
+	step func() (sim.Time, bool) // bound once, so a walk allocates nothing
+
+	remaining int // instructions left; 0 when idle
+	phase     walkPhase
+	// Captured at the probe of the current line.
+	inLine     int
+	regionSize int
+	lineAddr   mem.Addr
+	missAt     sim.Time
+}
+
+type walkPhase uint8
+
+const (
+	walkProbe   walkPhase = iota // look up the next line
+	walkInstall                  // the line fill has landed
+	walkAdvance                  // the line's instructions have executed
+)
+
+func newFetchWalk(t *Tile) *fetchWalk {
+	w := new(fetchWalk)
+	w.bind(t)
+	return w
+}
+
+func (w *fetchWalk) bind(t *Tile) {
+	w.t = t
+	w.step = w.next
+}
+
+// next runs the walk up to its next wait and returns when that wait ends,
+// or reports done once every instruction has executed.
+func (w *fetchWalk) next() (sim.Time, bool) {
+	t := w.t
+	now := t.Sys.K.Now()
+	switch w.phase {
+	case walkInstall:
+		t.Stats.IStall += now - w.missAt
+		t.IC.Read32(w.lineAddr) // install the line (data immaterial)
+		t.Sys.SDRAM.LineFills++
+		w.phase = walkAdvance
+		return now + sim.Time(w.inLine), false
+	case walkAdvance:
+		t.Stats.Busy += sim.Time(w.inLine)
+		t.pc += w.inLine * 4
+		if t.pc >= w.regionSize {
 			t.pc = 0
 			if t.inCold {
 				t.inCold = false
@@ -180,8 +244,30 @@ func (t *Tile) fetchAndExec(p *sim.Proc, n int) {
 				}
 			}
 		}
-		remaining -= inLine
+		w.remaining -= w.inLine
+		if w.remaining == 0 {
+			return 0, true
+		}
 	}
+	// Probe the next line.
+	lineBytes := t.instrsPerLine() * 4
+	w.regionSize = t.hotSize
+	regionOff := 0
+	if t.inCold {
+		w.regionSize = t.coldSize
+		regionOff = t.hotSize
+	}
+	lineOff := t.pc % lineBytes
+	w.inLine = min((lineBytes-lineOff)/4, w.remaining)
+	w.lineAddr = t.codeBase + mem.Addr(regionOff+t.pc-lineOff)
+	if res, _ := t.IC.Probe(w.lineAddr); !res {
+		// Miss: book the fill; the line installs when it lands.
+		w.missAt = now
+		w.phase = walkInstall
+		return t.Sys.SDRAM.ReserveLineAt(now, w.lineAddr), false
+	}
+	w.phase = walkAdvance
+	return now + sim.Time(w.inLine), false
 }
 
 // Exec models n instructions of pure computation.

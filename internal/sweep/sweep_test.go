@@ -205,6 +205,42 @@ func TestSweepPanicContained(t *testing.T) {
 	}
 }
 
+// fetchOutsideSDRAM is a workload whose tile 0 fetches code from outside
+// the SDRAM. Tile 0's first I-cache miss books its fill while tile 1's
+// start is still pending, so the fill's wake, whose install panics on the
+// out-of-range line, runs as an instruction-fetch step inside a kernel
+// event rather than in the worker's coroutine.
+type fetchOutsideSDRAM struct{}
+
+func (fetchOutsideSDRAM) Name() string                { return "fetch-outside-sdram" }
+func (fetchOutsideSDRAM) Setup(*rt.Runtime, int)      {}
+func (fetchOutsideSDRAM) Checksum(*rt.Runtime) uint32 { return 0 }
+func (fetchOutsideSDRAM) Worker(c *rt.Ctx, tile, tiles int) {
+	if tile == 0 {
+		c.T.SetCodeFootprint(soc.ClusterBase-0x1000, 64)
+	}
+	c.Compute(100)
+}
+
+// TestSweepPanicInFetchStepContained: a panic raised inside a kernel
+// continuation step is contained as a cell error, like one raised in a
+// worker body.
+func TestSweepPanicInFetchStepContained(t *testing.T) {
+	spec := Spec{
+		Apps:     []string{"fetch-outside-sdram"},
+		Backends: []string{"nocc"},
+		Tiles:    []int{2},
+		Make:     func(Cell) (workloads.App, error) { return fetchOutsideSDRAM{}, nil },
+	}
+	table, err := Run(spec)
+	if err == nil {
+		t.Fatal("fetch outside SDRAM did not error")
+	}
+	if len(table.Rows) != 1 || !strings.Contains(table.Rows[0].Err, "panic: mem: access") {
+		t.Fatalf("rows = %+v, want the contained out-of-range panic", table.Rows)
+	}
+}
+
 func TestSweepJSONShape(t *testing.T) {
 	spec := Spec{Apps: []string{"msgpass"}, Backends: []string{"dsm"}, Tiles: []int{4}}
 	table, err := Run(spec)

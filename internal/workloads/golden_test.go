@@ -115,14 +115,16 @@ func TestDomainBackendsGolden(t *testing.T) {
 // while every simulated result stays put; this test makes such a move
 // explicit. The event count, in-place and slow wait counts follow from
 // the simulated schedule alone, so an exact kernel optimisation keeps
-// them and only cuts coroutine resumes.
+// them and only cuts coroutine resumes: running the I-fetch line walk as
+// a kernel continuation cut this cell from 31026 resumes to 12716, with
+// 29270 steps run in the kernel instead.
 func TestKernelCountsGolden(t *testing.T) {
 	a, _ := Scaled("radiosity", true)
 	res, err := Run(a, smallCfg(8), "swcc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sim.Stats{Events: 32274, InPlace: 4865, Slow: 30602, Resumes: 31026}
+	want := sim.Stats{Events: 32274, InPlace: 4865, Slow: 30602, Resumes: 12716, Steps: 29270}
 	if res.Kernel != want {
 		t.Errorf("kernel counters:\n got  %+v\n want %+v", res.Kernel, want)
 	}
