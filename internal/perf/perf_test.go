@@ -183,6 +183,14 @@ func TestCompareClassification(t *testing.T) {
 		{"exact-lower-gates", Metric{Name: "sim-cycles", Value: 42, Exact: true}, Metric{Name: "sim-cycles", Value: 41, Exact: true}, 0.10, ClassImproved, true},
 		{"exact-higher-gates", Metric{Name: "sim-cycles", Value: 42, Exact: true}, Metric{Name: "sim-cycles", Value: 43, Exact: true}, 0.10, ClassRegressed, true},
 		{"exact-tiny-drift-gates", Metric{Name: "states", Value: 1000, Exact: true}, Metric{Name: "states", Value: 1001, Exact: true}, 10, ClassRegressed, true},
+		// allocs/op gates at AllocsThreshold (15%) under a looser threshold,
+		// and at the given threshold when that is tighter.
+		{"allocs-within-cap", Metric{Name: "allocs/op", Value: 306}, Metric{Name: "allocs/op", Value: 325}, 4, ClassUnchanged, false},
+		{"allocs-past-cap", Metric{Name: "allocs/op", Value: 306}, Metric{Name: "allocs/op", Value: 360}, 4, ClassRegressed, true},
+		{"allocs-improved-past-cap", Metric{Name: "allocs/op", Value: 306}, Metric{Name: "allocs/op", Value: 250}, 4, ClassImproved, false},
+		{"allocs-tighter-threshold", Metric{Name: "allocs/op", Value: 100}, Metric{Name: "allocs/op", Value: 110}, 0.05, ClassRegressed, true},
+		{"ns-keeps-loose-threshold", Metric{Name: "ns/op", Value: 100}, Metric{Name: "ns/op", Value: 400}, 4, ClassUnchanged, false},
+		{"bytes-keeps-loose-threshold", Metric{Name: "bytes/op", Value: 100}, Metric{Name: "bytes/op", Value: 300}, 4, ClassUnchanged, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
