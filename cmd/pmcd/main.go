@@ -115,7 +115,16 @@ func cmdServe(args []string) error {
 		return err
 	}
 	defer srv.Close()
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// Requests are small (a job spec is capped at 1 MiB by the handler),
+	// so reading one is bounded in time too. There is no WriteTimeout:
+	// ?wait=1 results and event streams stay open as long as a job runs.
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "pmcd: serving on %s (code version %s, cache %q)\n",

@@ -2,6 +2,7 @@ package pmcd
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -323,12 +324,22 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxSpecBytes bounds a submitted job spec. Real specs are a few hundred
+// bytes (a sweep lists its axes, a bench job one entry); the cap keeps a
+// client from making the server buffer an arbitrary body.
+const maxSpecBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("pmcd: bad job spec: %w", err))
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, fmt.Errorf("pmcd: bad job spec: %w", err))
 		return
 	}
 	st, err := s.Submit(spec)

@@ -229,6 +229,37 @@ func TestServerRejects(t *testing.T) {
 	}
 }
 
+// TestServerRejectsOversizedSpec: a body past maxSpecBytes is refused with
+// 413 before it is decoded, whether it is one huge JSON value or a valid
+// spec followed by padding; a spec just under the cap still decodes.
+func TestServerRejectsOversizedSpec(t *testing.T) {
+	s, c := newTestService(t, Config{})
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(c.Base+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	huge := `{"litmus": {"prog": "` + strings.Repeat("a", maxSpecBytes) + `"}}`
+	if code := post(huge); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized spec answered HTTP %d, want 413", code)
+	}
+	padded := `{"litmus": {"prog": "sb-drf"}` + strings.Repeat(" ", maxSpecBytes) + `}`
+	if code := post(padded); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("padded spec answered HTTP %d, want 413", code)
+	}
+	fits := `{"litmus": {"prog": "sb-drf"}` + strings.Repeat(" ", maxSpecBytes-100) + `}`
+	if code := post(fits); code != http.StatusAccepted {
+		t.Errorf("spec under the cap answered HTTP %d, want 202", code)
+	}
+	if st := s.Stats(); st.Submitted != 1 {
+		t.Errorf("%d jobs submitted, want only the one under the cap", st.Submitted)
+	}
+}
+
 // TestConcurrentClientsSingleFlight is the -race satellite: many clients
 // submitting overlapping jobs cost exactly one simulation per distinct
 // fingerprint, and every client reads byte-identical results.
