@@ -29,40 +29,84 @@ import (
 	"pmc/internal/cli"
 )
 
-func main() {
-	var (
-		list       = flag.Bool("list", false, "list benchmark suites and entries")
-		suite      = flag.String("suite", "", "suite to run: "+fmt.Sprint(pmc.BenchSuites()))
-		reps       = flag.Int("reps", 0, "timed repetitions per entry (0 = 5)")
-		jsonOut    = flag.String("json", "", `write the BENCH.json report to this file ("-" = stdout)`)
-		quiet      = flag.Bool("q", false, "suppress per-entry progress lines")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the suite run to this file")
-		memProfile = flag.String("memprofile", "", "write an allocation profile of the suite run to this file")
-		cacheDir   = flag.String("cache", "", "content-addressed measurement cache directory; unchanged entries are answered without re-simulation")
-		cacheKey   = flag.String("cachekey", "", "cache-key salt (default: the build's code version); CI passes a source-content hash")
+// options is the parsed and validated command line.
+type options struct {
+	list, quiet                                      bool
+	suite, jsonOut, cpuProfile, memProfile, cacheDir string
+	cacheKey, compare                                string
+	reps                                             int
+	threshold                                        float64
+	candidate                                        string // the -compare candidate report
+}
 
-		compare   = flag.String("compare", "", "baseline BENCH.json to compare against; the candidate report is the positional argument")
-		threshold = flag.String("threshold", "10%", `with -compare: relative host-metric noise tolerance ("10%" or "0.1")`)
-	)
-	flag.Parse()
+// parseFlags parses args into fs and checks every flag value that can be
+// checked before any benchmark runs: a bad value is a usage error (exit 2),
+// not a run failure, and no value is silently defaulted.
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
+	var o options
+	fs.BoolVar(&o.list, "list", false, "list benchmark suites and entries")
+	fs.StringVar(&o.suite, "suite", "", "suite to run: "+fmt.Sprint(pmc.BenchSuites()))
+	fs.IntVar(&o.reps, "reps", 0, "timed repetitions per entry (0 = 5)")
+	fs.StringVar(&o.jsonOut, "json", "", `write the BENCH.json report to this file ("-" = stdout)`)
+	fs.BoolVar(&o.quiet, "q", false, "suppress per-entry progress lines")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the suite run to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write an allocation profile of the suite run to this file")
+	fs.StringVar(&o.cacheDir, "cache", "", "content-addressed measurement cache directory; unchanged entries are answered without re-simulation")
+	fs.StringVar(&o.cacheKey, "cachekey", "", "cache-key salt (default: the build's code version); CI passes a source-content hash")
+
+	fs.StringVar(&o.compare, "compare", "", "baseline BENCH.json to compare against; the candidate report is the positional argument")
+	threshold := fs.String("threshold", "10%", `with -compare: relative host-metric noise tolerance ("10%" or "0.1"); allocs/op gates at no more than 15%`)
 	// flag stops at the first positional argument, so the documented
 	// shape "-compare old.json new.json -threshold 10%" leaves trailing
 	// flags unparsed; re-parse them, collecting the positionals.
-	args := flag.Args()
 	var positional []string
-	for len(args) > 0 {
-		positional = append(positional, args[0])
-		flag.CommandLine.Parse(args[1:])
-		args = flag.CommandLine.Args()
-	}
-
-	if *cacheKey != "" && *cacheDir == "" {
-		fail(usagef("-cachekey requires -cache"))
+	for {
+		if err := fs.Parse(args); err != nil {
+			// An unknown or unparseable flag is a usage error too.
+			return nil, cli.UsageError{Err: err}
+		}
+		if fs.NArg() == 0 {
+			break
+		}
+		positional = append(positional, fs.Arg(0))
+		args = fs.Args()[1:]
 	}
 
 	switch {
-	case *list:
-		rejectPositional(positional)
+	case o.reps < 0:
+		return nil, usagef("-reps must be non-negative, got %d", o.reps)
+	case o.cacheKey != "" && o.cacheDir == "":
+		return nil, usagef("-cachekey requires -cache")
+	}
+	if o.suite != "" {
+		if _, err := pmc.BenchSuite(o.suite); err != nil {
+			return nil, cli.UsageError{Err: err}
+		}
+	}
+	var err error
+	if o.threshold, err = pmc.BenchParseThreshold(*threshold); err != nil {
+		return nil, cli.UsageError{Err: err}
+	}
+	if o.compare != "" {
+		if len(positional) != 1 {
+			return nil, usagef("-compare needs exactly one candidate report argument, got %d", len(positional))
+		}
+		o.candidate = positional[0]
+	} else if len(positional) > 0 {
+		// A mistyped invocation (e.g. "-suite ci BENCH.json" without
+		// -json) fails loudly instead of silently discarding the argument.
+		return nil, usagef("unexpected argument %q (only -compare takes a positional report path)", positional[0])
+	}
+	return &o, nil
+}
+
+func main() {
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fail(err)
+	}
+	switch {
+	case o.list:
 		for _, name := range pmc.BenchSuites() {
 			spec, err := pmc.BenchSuite(name)
 			if err != nil {
@@ -74,36 +118,19 @@ func main() {
 			}
 		}
 		return
-	case *compare != "":
-		if len(positional) != 1 {
-			fail(usagef("-compare needs exactly one candidate report argument, got %d", len(positional)))
-		}
-		thr, err := pmc.BenchParseThreshold(*threshold)
-		if err != nil {
-			fail(cli.UsageError{Err: err})
-		}
-		if err := runCompare(*compare, positional[0], thr); err != nil {
+	case o.compare != "":
+		if err := runCompare(o.compare, o.candidate, o.threshold); err != nil {
 			fail(err)
 		}
 		return
-	case *suite != "":
-		rejectPositional(positional)
-		if err := runSuite(*suite, *reps, *jsonOut, *cpuProfile, *memProfile, *cacheDir, *cacheKey, *quiet); err != nil {
+	case o.suite != "":
+		if err := runSuite(o.suite, o.reps, o.jsonOut, o.cpuProfile, o.memProfile, o.cacheDir, o.cacheKey, o.quiet); err != nil {
 			fail(err)
 		}
 		return
 	}
 	flag.Usage()
 	os.Exit(2)
-}
-
-// rejectPositional guards the modes that take no positional arguments, so
-// a mistyped invocation (e.g. "-suite ci BENCH.json" without -json) fails
-// loudly instead of silently discarding the argument.
-func rejectPositional(positional []string) {
-	if len(positional) > 0 {
-		fail(usagef("unexpected argument %q (only -compare takes a positional report path)", positional[0]))
-	}
 }
 
 // usagef marks a bad flag value; fail prints the usage and exits 2 for
@@ -116,7 +143,7 @@ func fail(err error) { cli.Fail("pmcbench", err) }
 func runSuite(name string, reps int, jsonOut, cpuProfile, memProfile, cacheDir, cacheKey string, quiet bool) error {
 	spec, err := pmc.BenchSuite(name)
 	if err != nil {
-		return cli.UsageError{Err: err}
+		return err
 	}
 	spec.Reps = reps
 	if !quiet {
