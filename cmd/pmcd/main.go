@@ -115,16 +115,7 @@ func cmdServe(args []string) error {
 		return err
 	}
 	defer srv.Close()
-	// Requests are small (a job spec is capped at 1 MiB by the handler),
-	// so reading one is bounded in time too. There is no WriteTimeout:
-	// ?wait=1 results and event streams stay open as long as a job runs.
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
+	hs := newHTTPServer(*addr, srv.Handler(), 10*time.Second, 2*time.Minute)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "pmcd: serving on %s (code version %s, cache %q)\n",
@@ -138,6 +129,22 @@ func cmdServe(args []string) error {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		return hs.Shutdown(ctx)
+	}
+}
+
+// newHTTPServer is pmcd serve's HTTP server. It bounds the time a client
+// may take to send a request's headers (header) and the time a kept-alive
+// connection may sit idle (idle). It sets neither ReadTimeout nor
+// WriteTimeout: net/http holds both over the whole request, handler
+// included, and a passed ReadTimeout cancels the request's context, which
+// would cut a ?wait=1 result or an event stream of any job that runs
+// longer. The submit handler bounds the read of a job spec's body itself.
+func newHTTPServer(addr string, h http.Handler, header, idle time.Duration) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: header,
+		IdleTimeout:       idle,
 	}
 }
 

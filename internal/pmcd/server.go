@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"runtime"
 	"sync"
@@ -329,15 +330,30 @@ func (s *Server) Handler() http.Handler {
 // client from making the server buffer an arbitrary body.
 const maxSpecBytes = 1 << 20
 
+// specReadTimeout bounds the time a client may take to send a job spec's
+// body. It is a deadline on the body read alone: a server-wide
+// ReadTimeout would also cancel ?wait=1 results and event streams.
+var specReadTimeout = 30 * time.Second
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
+	// The deadline also bounds net/http's drain of any body left unread
+	// after the handler returns. It needs no reset: net/http clears it
+	// once the body is read to its end and sets its own for the next
+	// request on the connection. A ResponseWriter without a connection
+	// (a test recorder) has no deadline to set.
+	http.NewResponseController(w).SetReadDeadline(time.Now().Add(specReadTimeout))
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
+		var netErr net.Error
+		switch {
+		case errors.As(err, &tooBig):
 			code = http.StatusRequestEntityTooLarge
+		case errors.As(err, &netErr) && netErr.Timeout():
+			code = http.StatusRequestTimeout
 		}
 		httpError(w, code, fmt.Errorf("pmcd: bad job spec: %w", err))
 		return

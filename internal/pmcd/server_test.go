@@ -1,15 +1,18 @@
 package pmcd
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // newTestService starts a server with its HTTP surface and returns it with
@@ -257,6 +260,34 @@ func TestServerRejectsOversizedSpec(t *testing.T) {
 	}
 	if st := s.Stats(); st.Submitted != 1 {
 		t.Errorf("%d jobs submitted, want only the one under the cap", st.Submitted)
+	}
+}
+
+// TestServerSpecReadTimeout: a client that stops partway through a job
+// spec's body is answered 408 once specReadTimeout passes, instead of
+// holding its handler indefinitely.
+func TestServerSpecReadTimeout(t *testing.T) {
+	defer func(d time.Duration) { specReadTimeout = d }(specReadTimeout)
+	specReadTimeout = 100 * time.Millisecond
+	s, c := newTestService(t, Config{})
+	conn, err := net.Dial("tcp", strings.TrimPrefix(c.Base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	fmt.Fprint(conn, "POST /v1/jobs HTTP/1.1\r\nHost: pmcd\r\n"+
+		"Content-Type: application/json\r\nContent-Length: 100\r\n\r\n{\"litmus\": ")
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestTimeout {
+		t.Errorf("stalled spec answered HTTP %d, want 408", resp.StatusCode)
+	}
+	if st := s.Stats(); st.Submitted != 0 {
+		t.Errorf("%d jobs submitted from a stalled spec", st.Submitted)
 	}
 }
 
