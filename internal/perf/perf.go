@@ -139,6 +139,11 @@ type Measurement struct {
 	// metrics by name and value regardless — but keeps cache effectiveness
 	// visible in the serialized report.
 	Cached bool `json:"cached,omitempty"`
+	// PerCPU marks an entry whose work is split over GOMAXPROCS goroutines
+	// (a litmus entry with Workers 0). Its allocation count grows with the
+	// host's CPU count, so Compare holds its allocs/op to the general
+	// threshold instead of AllocsThreshold.
+	PerCPU bool `json:"per_cpu,omitempty"`
 }
 
 // Metric returns the named metric, or nil.
@@ -279,7 +284,7 @@ func measure(e Entry, reps int) (*Measurement, error) {
 			return nil, fmt.Errorf("perf: entry %s is non-deterministic across repetitions: %w", e.Name, err)
 		}
 	}
-	m := &Measurement{Name: e.Name, Reps: reps}
+	m := &Measurement{Name: e.Name, Reps: reps, PerCPU: e.Litmus != nil && e.Litmus.Workers == 0}
 	m.Metrics = append(m.Metrics, hostMetric("ns/op", nsSamples))
 	m.Metrics = append(m.Metrics, hostMetric("allocs/op", allocsSamples))
 	m.Metrics = append(m.Metrics, hostMetric("bytes/op", bytesSamples))

@@ -215,6 +215,37 @@ func TestCompareClassification(t *testing.T) {
 	}
 }
 
+// TestCompareAllocsPerCPU: a litmus entry with Workers 0 splits its work
+// over GOMAXPROCS goroutines, so its allocation count follows the host's
+// CPU count (stress-independent/par reads 21k allocs/op at GOMAXPROCS 1
+// and 80k at 32). Run marks it PerCPU, and Compare then holds its
+// allocs/op to the given threshold rather than AllocsThreshold.
+func TestCompareAllocsPerCPU(t *testing.T) {
+	rep, err := Run(Spec{Reps: 1, Entries: []Entry{
+		lit("par", "sb-drf", 0, true),
+		lit("seq", "sb-drf", 1, true),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Entry("par").PerCPU || rep.Entry("seq").PerCPU {
+		t.Fatalf("PerCPU = %v (Workers 0), %v (Workers 1); want true, false",
+			rep.Entry("par").PerCPU, rep.Entry("seq").PerCPU)
+	}
+	base := report(Metric{Name: "allocs/op", Value: 100})
+	grown := report(Metric{Name: "allocs/op", Value: 300})
+	for _, perCPU := range []bool{false, true} {
+		base.Entries[0].PerCPU = perCPU
+		cmp, err := Compare(base, grown, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cmp.Ok() == !perCPU {
+			t.Errorf("PerCPU %v: allocs/op 100 -> 300 under threshold 400%%: Ok() = %v\n%s", perCPU, cmp.Ok(), cmp)
+		}
+	}
+}
+
 func TestCompareMissingAndAdded(t *testing.T) {
 	base := report(
 		Metric{Name: "ns/op", Value: 100},
