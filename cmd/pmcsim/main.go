@@ -383,8 +383,8 @@ func runWorkload(name, backend string, tiles int, topo string, clusters int, loa
 	fmt.Printf("%s on %s, %d tiles: %d cycles, checksum %#x, utilization %.1f%%\n",
 		res.App, res.Backend, res.Tiles, res.Cycles, res.Checksum, 100*res.Utilization())
 	k := res.Kernel
-	fmt.Printf("kernel: %d events, %d resumes, waits %d in place / %d slow\n",
-		k.Events, k.Resumes, k.InPlace, k.Slow)
+	fmt.Printf("kernel: %d events, %d resumes, %d kernel steps, waits %d in place / %d slow\n",
+		k.Events, k.Resumes, k.Steps, k.InPlace, k.Slow)
 	if res.Service != nil {
 		fmt.Print("service: ")
 		res.Service.Render(os.Stdout, res.Cycles)

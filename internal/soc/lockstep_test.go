@@ -253,8 +253,8 @@ func TestFetchLockstepCells(t *testing.T) {
 }
 
 // TestFetchZeroAllocs: a warmed walk allocates nothing, whether its steps
-// run in place, inside kernel events, or on a second process's spill
-// walker on the same tile.
+// run in place, inside kernel events, or on a second walker taken while
+// another process on the same tile is mid-walk.
 func TestFetchZeroAllocs(t *testing.T) {
 	cfg := soc.DefaultConfig()
 	cfg.Tiles = 2
@@ -280,7 +280,7 @@ func TestFetchZeroAllocs(t *testing.T) {
 	s.K.Spawn("measured", func(p *sim.Proc) {
 		tl := s.Tiles[0]
 		for i := 0; i < 50; i++ {
-			tl.Exec(p, 300) // warm the caches, event pool and spill walker
+			tl.Exec(p, 300) // warm the caches, event pool and both walkers
 		}
 		before = s.K.Stats()
 		allocs = testing.AllocsPerRun(100, func() { tl.Exec(p, 300) })

@@ -79,11 +79,10 @@ type Tile struct {
 	inCold     bool
 	passesDone int
 
-	// walk runs this tile's instruction fetch; spill holds idle walkers
-	// for a second process that starts a walk while another is mid-walk
-	// on the same tile.
-	walk  fetchWalk
-	spill []*fetchWalk
+	// walkers holds idle instruction-fetch walkers. A walk takes one and
+	// returns it when done, so a second process that starts a walk while
+	// another is mid-walk on the same tile gets its own.
+	walkers []*fetchWalk
 }
 
 func newTile(s *System, id int) *Tile {
@@ -94,7 +93,6 @@ func newTile(s *System, id int) *Tile {
 		DC:    cache.New(s.Cfg.DCache, s.SDRAM.RAM),
 		Local: s.Locals[id],
 	}
-	t.walk.bind(t)
 	// Until a workload declares its footprint, fetch from a tiny
 	// per-tile stub that always fits the I-cache.
 	t.SetCodeFootprint(mem.Addr(id)*64, 64)
@@ -162,21 +160,16 @@ func (t *Tile) fetchAndExec(p *sim.Proc, n int) {
 		return
 	}
 	t.Stats.Instrs += uint64(n)
-	w := &t.walk
-	if w.remaining > 0 {
-		// Another process on this tile is mid-walk: take a spill walker.
-		if k := len(t.spill); k > 0 {
-			w = t.spill[k-1]
-			t.spill = t.spill[:k-1]
-		} else {
-			w = newFetchWalk(t)
-		}
+	var w *fetchWalk
+	if k := len(t.walkers); k > 0 {
+		w = t.walkers[k-1]
+		t.walkers = t.walkers[:k-1]
+	} else {
+		w = newFetchWalk(t)
 	}
 	w.remaining, w.phase = n, walkProbe
 	p.WaitSteps(w.step)
-	if w != &t.walk {
-		t.spill = append(t.spill, w)
-	}
+	t.walkers = append(t.walkers, w)
 }
 
 // fetchWalk is one process's walk of n instructions through the tile's
@@ -187,9 +180,9 @@ func (t *Tile) fetchAndExec(p *sim.Proc, n int) {
 // when the walk was a loop in the process.
 type fetchWalk struct {
 	t    *Tile
-	step func() (sim.Time, bool) // bound once, so a walk allocates nothing
+	step func() (sim.Time, bool) // w.next
 
-	remaining int // instructions left; 0 when idle
+	remaining int // instructions left
 	phase     walkPhase
 	// Captured at the probe of the current line.
 	inLine     int
@@ -207,14 +200,9 @@ const (
 )
 
 func newFetchWalk(t *Tile) *fetchWalk {
-	w := new(fetchWalk)
-	w.bind(t)
+	w := &fetchWalk{t: t}
+	w.step = w.next // bound once, so a walk allocates nothing
 	return w
-}
-
-func (w *fetchWalk) bind(t *Tile) {
-	w.t = t
-	w.step = w.next
 }
 
 // next runs the walk up to its next wait and returns when that wait ends,
